@@ -498,10 +498,12 @@ pub struct FleetExecutor<'p, O: ThroughputOracle> {
     pub(crate) shards: Vec<Shard<'p, O>>,
 }
 
-/// Runs `f` over every shard — exclusively, one worker per shard — and
-/// returns the results in canonical shard order regardless of completion
-/// order. The free function (rather than a method) lets callers that
-/// have already split the executor's fields borrow only the shard slice.
+/// Runs `f` over every shard with exclusive access, across at most the
+/// parallelism's width of threads (forking only under the `rayon` shim's
+/// fork rule), and returns the results in canonical shard order
+/// regardless of completion order. The free function (rather than a
+/// method) lets callers that have already split the executor's fields
+/// borrow only the shard slice.
 pub(crate) fn for_each_shard<'p, O, R, F>(
     parallelism: Parallelism,
     shards: &mut [Shard<'p, O>],
@@ -512,12 +514,7 @@ where
     R: Send,
     F: Fn(usize, &mut Shard<'p, O>) -> R + Sync,
 {
-    let width = parallelism.width().min(shards.len());
-    if width <= 1 {
-        shards.iter_mut().enumerate().map(|(s, shard)| f(s, shard)).collect()
-    } else {
-        rayon::iter::par_map_slice_mut(shards, width, &f)
-    }
+    rayon::iter::par_map_slice_mut(shards, parallelism.width(), &f)
 }
 
 impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
@@ -873,11 +870,13 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                         state.requests.remove(request);
                         state.departed += 1;
                         self.telemetry.count("fleet_departed_total", 1);
+                        let timer = self.telemetry.stage(stage::DEPART_APPLY);
                         self.shards[shard].apply(
                             t,
                             &[DynamicEvent::depart(t, instance)],
                             window,
                         );
+                        self.telemetry.finish(timer);
                     }
                     Some(Disposition::Retrying) => {
                         // The requester gave up while waiting on a
@@ -1117,12 +1116,8 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             };
             (*i, prepared)
         };
-        let width = self.config.parallelism.width().min(pairs.len());
-        let prepared_list: Vec<(usize, ShardPrepared)> = if width <= 1 {
-            pairs.iter_mut().enumerate().map(|(k, pair)| prepare(k, pair)).collect()
-        } else {
-            rayon::iter::par_map_slice_mut(&mut pairs, width, &prepare)
-        };
+        let prepared_list: Vec<(usize, ShardPrepared)> =
+            rayon::iter::par_map_slice_mut(&mut pairs, self.config.parallelism.width(), &prepare);
         drop(pairs);
         self.telemetry.finish(timer);
         let mut prepared_of: Vec<Option<ShardPrepared>> = ops.iter().map(|_| None).collect();

@@ -357,7 +357,6 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             }
             Some(entries) => {
                 let max_lag = self.config.parallelism.max_epoch_lag();
-                let width = self.config.parallelism.width().min(self.shards.len());
                 // Pair every shard with its (taken) speculative entry so
                 // the validation fan owns both sides of the comparison.
                 let mut pairs: Vec<(&mut Shard<'p, O>, Option<SpecEntry>)> =
@@ -407,15 +406,12 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                         }
                     }
                 };
-                let validated: Vec<(Option<Probe>, SpecStat)> = if width <= 1 {
-                    pairs
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(s, pair)| validate(s, pair))
-                        .collect()
-                } else {
-                    rayon::iter::par_map_slice_mut(&mut pairs, width, &validate)
-                };
+                let validated: Vec<(Option<Probe>, SpecStat)> =
+                    rayon::iter::par_map_slice_mut(
+                        &mut pairs,
+                        self.config.parallelism.width(),
+                        &validate,
+                    );
                 drop(pairs);
                 self.telemetry.finish(build);
                 // Serial merge of the fan's observability: counters plus

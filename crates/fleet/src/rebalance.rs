@@ -6,8 +6,8 @@
 //! selection and the destination argmax run serially at the barrier over
 //! the merged, shard-ordered results — so the migration chosen under
 //! [`crate::Parallelism::Threads`] is bit-identical to the sequential
-//! reference's. The source's departure and the destination's arrival are
-//! then applied concurrently (they touch disjoint shards).
+//! reference's. The source's departure and then the destination's
+//! arrival are applied serially, as the sequential reference does.
 //!
 //! Under the apply-lane scheduler (`apply_lanes`, see `crate::lanes`)
 //! rebalancing is one of the *deferred checks* that ride the lane walk:
@@ -103,36 +103,14 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(s, _)| s)?;
-        // Execute: depart from the source, arrive at the destination —
-        // concurrently when the executor is threaded (the two applies
-        // touch disjoint shards). The receiving board is not free —
-        // charge it (at least) the full on-board restage of the victim's
-        // weights plus its stem rebuild, over *its own* transfer link, so
+        // Execute: depart from the source, then arrive at the destination,
+        // under every executor. The receiving board is not free — charge
+        // it (at least) the full on-board restage of the victim's weights
+        // plus its stem rebuild, over *its own* transfer link, so
         // rebalancing cannot ping-pong instances at no modeled cost.
         let window = self.config.decision_window;
-        let depart = [DynamicEvent::depart(t, victim_id)];
-        let arrive = [DynamicEvent::arrive(t, victim_model)];
-        let assigned = {
-            let (lo, hi) = self.shards.split_at_mut(src.max(dst));
-            let (src_shard, dst_shard) = if src < dst {
-                (&mut lo[src], &mut hi[0])
-            } else {
-                (&mut hi[0], &mut lo[dst])
-            };
-            if self.config.parallelism.width() > 1 {
-                std::thread::scope(|scope| {
-                    let handle = scope.spawn(|| {
-                        src_shard.apply(t, &depart, window);
-                    });
-                    let assigned = dst_shard.apply(t, &arrive, window);
-                    handle.join().expect("source-shard worker panicked");
-                    assigned
-                })
-            } else {
-                src_shard.apply(t, &depart, window);
-                dst_shard.apply(t, &arrive, window)
-            }
-        };
+        self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)], window);
+        let assigned = self.shards[dst].apply(t, &[DynamicEvent::arrive(t, victim_model)], window);
         let new_id = assigned[0];
         let victim_workload = Workload::from_ids([victim_model]);
         let transfer = MigrationModel::new(self.shards[dst].platform)

@@ -39,8 +39,11 @@ pub mod stage {
     pub const PROBE_BUILD: &str = "probe_build";
     /// Grouped/serial oracle scoring + fold.
     pub const FUSED_SCORING: &str = "fused_scoring";
-    /// Applying an admitted arrival to its shard.
+    /// Applying an admitted arrival to its shard (admissions only).
     pub const APPLY: &str = "apply";
+    /// Applying a departure to its shard (outside the apply lanes, which
+    /// time departures under `apply_prepare`/`apply_commit`).
+    pub const DEPART_APPLY: &str = "depart_apply";
     /// Fleet-wide `SetPriorities` remap barrier.
     pub const REMAP: &str = "remap";
     /// The rebalancer/overload-guard health question.
@@ -66,6 +69,7 @@ fn entered_key(stage_name: &'static str) -> &'static str {
         stage::PROBE_BUILD => "fleet_stage_entered_total{stage=\"probe_build\"}",
         stage::FUSED_SCORING => "fleet_stage_entered_total{stage=\"fused_scoring\"}",
         stage::APPLY => "fleet_stage_entered_total{stage=\"apply\"}",
+        stage::DEPART_APPLY => "fleet_stage_entered_total{stage=\"depart_apply\"}",
         stage::REMAP => "fleet_stage_entered_total{stage=\"remap\"}",
         stage::REBALANCE_SCAN => "fleet_stage_entered_total{stage=\"rebalance_scan\"}",
         stage::EVACUATION => "fleet_stage_entered_total{stage=\"evacuation\"}",
@@ -367,6 +371,7 @@ mod tests {
             stage::PROBE_BUILD,
             stage::FUSED_SCORING,
             stage::APPLY,
+            stage::DEPART_APPLY,
             stage::REMAP,
             stage::REBALANCE_SCAN,
             stage::EVACUATION,

@@ -19,17 +19,27 @@
 //!   stream, round-trip it through JSONL (asserting the parse is exact
 //!   and that fault traffic upgrades the header to format v3), then
 //!   re-execute under the suite's candidate fleet and bit-compare.
+//! * [`SpinOracle`] — a slow oracle that makes the thread pool fork. The
+//!   `rayon` shim forks only after `rayon::FORK_AFTER` of serial work,
+//!   which the small conformance fleets never reach with a real oracle,
+//!   so without it the suites would test only the serial fan-outs.
 
 // Each suite uses the subset of the harness its matrix needs; the unused
 // remainder is expected, not suspicious.
 #![allow(dead_code)]
 
 use rankmap_core::manager::ManagerConfig;
-use rankmap_core::oracle::ThroughputOracle;
+use rankmap_core::oracle::{AnalyticalOracle, ThroughputOracle};
 use rankmap_fleet::{
     generate, ArrivalProcess, FaultSpec, FleetEvent, FleetOutcome, FleetRuntime, LoadSpec,
     Popularity, Trace, TraceMeta,
 };
+use rankmap_platform::Platform;
+use rankmap_sim::{Mapping, Workload};
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use std::time::Instant;
 
 /// The small per-shard search budget every conformance suite runs with —
 /// enough MCTS to make real decisions, small enough for a 64-seed
@@ -209,4 +219,57 @@ pub fn assert_replay_identical<O: ThroughputOracle>(
     assert_eq!(&parsed, &trace, "{label}: events must survive JSONL exactly");
     let replayed = fleet.execute_trace(&parsed);
     assert_identical(reference, &replayed, label);
+}
+
+/// A test double that answers exactly like [`AnalyticalOracle`] but
+/// busy-waits a quarter of `rayon::FORK_AFTER` per mapping it scores, so
+/// a batch or group of five or more mappings runs long enough for the
+/// `rayon` shim to fork. It routes its batch and grouped calls through
+/// `par_map_slice`, as the real oracles do, and records every thread
+/// that scored a mapping.
+pub struct SpinOracle<'p> {
+    inner: AnalyticalOracle<'p>,
+    threads: Mutex<HashSet<ThreadId>>,
+}
+
+impl<'p> SpinOracle<'p> {
+    pub fn new(platform: &'p Platform) -> Self {
+        Self { inner: AnalyticalOracle::new(platform), threads: Mutex::new(HashSet::new()) }
+    }
+
+    fn threads(&self) -> std::sync::MutexGuard<'_, HashSet<ThreadId>> {
+        self.threads.lock().expect("no scoring thread panics while holding the set")
+    }
+
+    /// How many distinct threads have scored a mapping so far.
+    pub fn threads_seen(&self) -> usize {
+        self.threads().len()
+    }
+}
+
+impl ThroughputOracle for SpinOracle<'_> {
+    fn predict(&self, workload: &Workload, mapping: &Mapping) -> Vec<f64> {
+        let started = Instant::now();
+        while started.elapsed() < rayon::FORK_AFTER / 4 {
+            std::hint::spin_loop();
+        }
+        self.threads().insert(std::thread::current().id());
+        self.inner.predict(workload, mapping)
+    }
+
+    fn predict_batch(&self, workload: &Workload, mappings: &[Mapping]) -> Vec<Vec<f64>> {
+        rayon::iter::par_map_slice(mappings, &|m| self.predict(workload, m))
+    }
+
+    fn predict_grouped(&self, queries: &[(&Workload, &[Mapping])]) -> Vec<Vec<Vec<f64>>> {
+        let flat: Vec<(&Workload, &Mapping)> =
+            queries.iter().flat_map(|&(w, ms)| ms.iter().map(move |m| (w, m))).collect();
+        let mut scored =
+            rayon::iter::par_map_slice(&flat, &|&(w, m)| self.predict(w, m)).into_iter();
+        queries.iter().map(|(_, ms)| scored.by_ref().take(ms.len()).collect()).collect()
+    }
+
+    fn name(&self) -> &'static str {
+        "spin"
+    }
 }

@@ -15,12 +15,14 @@
 
 mod common;
 
-use common::{assert_identical, assert_replay_identical, quick_manager, Scenario};
+use common::{
+    assert_identical, assert_replay_identical, base_faults, quick_manager, Scenario, SpinOracle,
+};
 use proptest::prelude::*;
 use rankmap_core::oracle::AnalyticalOracle;
 use rankmap_fleet::{
-    generate, FleetConfig, FleetOutcome, FleetRuntime, FleetSpec, LoadSpec, Parallelism,
-    ShardSpec,
+    generate, FaultSpec, FleetConfig, FleetOutcome, FleetRuntime, FleetSpec, LoadSpec,
+    Parallelism, ShardSpec,
 };
 use rankmap_platform::Platform;
 
@@ -28,8 +30,8 @@ fn config(parallelism: Parallelism) -> FleetConfig {
     FleetConfig {
         manager: quick_manager(),
         max_per_shard: 3,
-        // Rebalance eagerly so migrations (the concurrent two-shard
-        // apply) are part of what the property covers.
+        // Rebalance eagerly so migrations (the two-shard apply) are part
+        // of what the property covers.
         rebalance_threshold: 0.6,
         rebalance_margin: 0.02,
         parallelism,
@@ -131,4 +133,40 @@ fn non_fused_scoring_is_thread_invariant() {
     let reference = run(Parallelism::Sequential);
     let threaded = run(Parallelism::Threads(4));
     assert_identical(&reference, &threaded, "non-fused Threads(4)");
+}
+
+/// The forked arm: with an oracle slow enough that its batch and grouped
+/// calls cross `rayon::FORK_AFTER`, those fan-outs really split across
+/// threads, and `Threads(2)` must still reproduce `Sequential` bit for
+/// bit — across all three arrival processes, the last with the fault
+/// layer on. (The shard fans of a 3-shard fleet rarely reach the
+/// threshold; the oracle's fans, nested inside them under `Threads(2)`,
+/// do.)
+#[test]
+fn forked_fan_outs_match_sequential() {
+    let platform = Platform::orange_pi_5();
+    for process_idx in 0..3 {
+        let mut scenario = Scenario::new(5, process_idx);
+        if process_idx == 2 {
+            scenario = scenario.faults(FaultSpec { seed: 0x5EED, ..base_faults(3) });
+        }
+        let spec = scenario.load();
+        let events = generate(&spec);
+        let run = |parallelism| {
+            let oracle = SpinOracle::new(&platform);
+            let outcome = FleetRuntime::homogeneous(&platform, &oracle, 3, config(parallelism))
+                .execute(&events, spec.horizon);
+            (outcome, oracle.threads_seen())
+        };
+        let (reference, sequential_threads) = run(Parallelism::Sequential);
+        assert!(reference.metrics.offered > 0);
+        let (forked, threaded_threads) = run(Parallelism::Threads(2));
+        // The oracle's fans fork whenever the global pool is wider than
+        // one thread (`RAYON_NUM_THREADS=1` keeps them serial).
+        if rayon::current_num_threads() > 1 {
+            assert!(sequential_threads > 1, "process {process_idx}: Sequential never forked");
+            assert!(threaded_threads > 1, "process {process_idx}: Threads(2) never forked");
+        }
+        assert_identical(&reference, &forked, &format!("forked Threads(2) process {process_idx}"));
+    }
 }

@@ -24,6 +24,8 @@ use rankmap_fleet::{
 };
 use rankmap_platform::Platform;
 
+const DEPART_APPLY_ENTERED: &str = "fleet_stage_entered_total{stage=\"depart_apply\"}";
+
 fn config(parallelism: Parallelism, telemetry: TelemetrySpec) -> FleetConfig {
     FleetConfig {
         manager: quick_manager(),
@@ -89,6 +91,22 @@ proptest! {
             let candidate = run(&spec, parallelism, telemetry);
             assert_identical(&reference, &candidate, &format!("{label} seed {seed}"));
             prop_assert_eq!(candidate.telemetry.is_some(), telemetry.enabled);
+            if let Some(snap) = &candidate.telemetry {
+                // Every departure outside the apply lanes enters the
+                // `depart_apply` span exactly once (lanes time theirs
+                // under the prepare/commit stages), and with wall timing
+                // on each entry lands one sample in its histogram.
+                let departs = snap.registry.counter(DEPART_APPLY_ENTERED);
+                let expected = if label.starts_with("lanes") { 0 } else { candidate.metrics.departed };
+                prop_assert_eq!(departs, expected, "{} seed {}", label, seed);
+                if telemetry.wall_clock {
+                    let timed = snap
+                        .registry
+                        .histogram("stage_wall_seconds{stage=\"depart_apply\"}")
+                        .map_or(0, |h| h.count());
+                    prop_assert_eq!(timed, departs, "{} seed {}", label, seed);
+                }
+            }
         }
     }
 }
@@ -114,6 +132,8 @@ fn snapshot_counters_agree_with_metrics_and_exports_replay_byte_stable() {
     // arrival, and the apply stage entered once per admission.
     assert!(c("fleet_stage_entered_total{stage=\"probe_build\"}") >= m.offered);
     assert_eq!(c("fleet_stage_entered_total{stage=\"apply\"}"), m.admitted);
+    // ... and the departure span once per normal departure.
+    assert_eq!(c(DEPART_APPLY_ENTERED), m.departed);
     // Wall timing stayed off: deterministic registry only.
     assert!(
         snap.registry

@@ -141,10 +141,11 @@ impl Tensor {
     /// Matrix multiply: `self [m×k] · other [k×n] → [m×n]`.
     ///
     /// Row-blocked `i-k-j` kernel with a zero-skip on the left operand
-    /// (mapping tensors are mostly zeros). Row blocks fan out across the
-    /// thread pool when the product is large enough to amortize the spawn
-    /// cost; the per-row arithmetic (and hence the result, bit for bit) is
-    /// identical in the serial and parallel paths.
+    /// (mapping tensors are mostly zeros). The row blocks go to the thread
+    /// pool, which forks only once a product has run long enough to pay
+    /// for a thread (the `rayon` shim's fork rule); the per-row arithmetic
+    /// (and hence the result, bit for bit) does not depend on which thread
+    /// runs a block.
     ///
     /// # Panics
     ///
@@ -155,30 +156,18 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch");
-        // Flops below this stay serial: thread spawn costs ~µs, which only
-        // pays off for matrices far larger than the estimator's.
-        const PAR_MIN_FLOPS: usize = 1 << 21;
-        let threads = rayon::current_num_threads();
+        // Multiply-adds per row block: enough that the pool's per-block
+        // clock read is noise, few enough that a long product leaves
+        // blocks to split.
+        const BLOCK_MACS: usize = 1 << 14;
+        let rows_per = (BLOCK_MACS / (k * n).max(1)).max(1);
         let mut out = vec![0.0f32; m * n];
-        if threads > 1 && m >= 2 * threads && m * k * n >= PAR_MIN_FLOPS {
-            let rows_per = m.div_ceil(threads);
-            let lhs_chunks: Vec<(usize, &[f32])> = self
-                .data
-                .chunks(rows_per * k)
-                .enumerate()
-                .collect();
-            let blocks = rayon::iter::par_map_slice(&lhs_chunks, &|&(_, lhs)| {
-                let rows = lhs.len() / k;
-                let mut block = vec![0.0f32; rows * n];
-                matmul_rows(lhs, &other.data, &mut block, rows, k, n);
-                block
-            });
-            for (block, dst) in blocks.iter().zip(out.chunks_mut(rows_per * n)) {
-                dst.copy_from_slice(block);
-            }
-        } else {
-            matmul_rows(&self.data, &other.data, &mut out, m, k, n);
-        }
+        let mut blocks: Vec<&mut [f32]> = out.chunks_mut((rows_per * n).max(1)).collect();
+        rayon::iter::par_map_slice_mut(&mut blocks, rayon::current_num_threads(), &|b, dst| {
+            let rows = dst.len() / n;
+            let lhs = &self.data[b * rows_per * k..(b * rows_per + rows) * k];
+            matmul_rows(lhs, &other.data, dst, rows, k, n);
+        });
         Tensor { shape: vec![m, n], data: out }
     }
 
@@ -429,7 +418,7 @@ mod tests {
 
     #[test]
     fn large_matmul_parallel_path_matches_serial() {
-        // Big enough to cross the parallel threshold on multi-core hosts;
+        // Long enough to fork across row blocks on multi-core hosts;
         // on single-core hosts this still exercises the serial kernel.
         let mut rng = StdRng::seed_from_u64(6);
         let a = Tensor::rand_uniform(vec![160, 96], 1.0, &mut rng);
