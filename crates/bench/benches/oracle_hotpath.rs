@@ -11,7 +11,9 @@
 //! through the shipped hot path: `LearnedOracle` (`&self` inference,
 //! stacked decoder matmuls), virtual-loss rounds, transposition cache.
 //! A `manager_plan_default` arm measures the public
-//! `RankMapManager::map` entry point end to end.
+//! `RankMapManager::map` entry point end to end, and an
+//! `analytical_manager_map` arm runs the same entry point over the
+//! `AnalyticalOracle` (the contention solver the fleet scores with).
 //!
 //! Results land in `BENCH_oracle.json` at the workspace root (ns per call;
 //! divide by the 1,500-evaluation budget for ns/eval) so future PRs have a
@@ -20,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
-use rankmap_core::oracle::{LearnedOracle, ThroughputOracle};
+use rankmap_core::oracle::{AnalyticalOracle, LearnedOracle, ThroughputOracle};
 use rankmap_core::priority::PriorityMode;
 use rankmap_core::reward::{RewardSpec, StarvationThreshold, DISQUALIFIED};
 use rankmap_estimator::{
@@ -242,6 +244,18 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     let _ = mgr.map(&w, &PriorityMode::Dynamic);
     group.bench_function("manager_plan_default", |b| {
         b.iter(|| mgr.map(&w, &PriorityMode::Dynamic))
+    });
+    // The same entry point over the analytical contention solver: its
+    // per-mapping cost is what every fleet probe and remap pays.
+    let analytical = AnalyticalOracle::new(&s.platform);
+    let analytical_mgr = RankMapManager::new(
+        &s.platform,
+        &analytical,
+        ManagerConfig { mcts_iterations: BUDGET, ..Default::default() },
+    );
+    let _ = analytical_mgr.map(&w, &PriorityMode::Dynamic);
+    group.bench_function("analytical_manager_map", |b| {
+        b.iter(|| analytical_mgr.map(&w, &PriorityMode::Dynamic))
     });
     group.finish();
 

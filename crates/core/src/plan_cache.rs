@@ -427,11 +427,7 @@ impl PlanCache {
             .get("entries")
             .and_then(Json::as_arr)
             .ok_or_else(|| bad("missing entries array"))?;
-        // Unit counts per registry model, built lazily and shared across
-        // entries — `build()` constructs the full layer graph and must
-        // not run once per snapshot row.
         let registry = rankmap_models::ModelId::all();
-        let mut unit_counts: Vec<Option<usize>> = vec![None; registry.len()];
         for entry in entries {
             let sig = entry
                 .get("sig")
@@ -488,9 +484,7 @@ impl PlanCache {
                 if idx >= registry.len() {
                     return Err(bad("sig names a model outside the registry"));
                 }
-                let units =
-                    *unit_counts[idx].get_or_insert_with(|| registry[idx].build().unit_count());
-                if assign.len() != units {
+                if assign.len() != registry[idx].build().unit_count() {
                     return Err(bad("assignment length does not match the model's unit count"));
                 }
             }

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A shard's current (workload, incumbent mapping) pair, shared out of
-/// the memo without cloning the underlying layer graphs.
+/// the memo without rebuilding the workload or cloning the mapping.
 pub(crate) type ShardState = Arc<(Workload, Mapping)>;
 
 /// One device shard: its board, mapper (manager + priority mode), and
@@ -42,9 +42,8 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// `apply` runs — so the prediction is cached here and invalidated on
     /// apply.
     incumbent_prediction: Option<Vec<f64>>,
-    /// Memoized current (workload, incumbent mapping) pair — building a
-    /// `Workload` constructs full per-model layer graphs, far too
-    /// expensive to repeat for every probe of every offered event.
+    /// Memoized current (workload, incumbent mapping) pair — probes of
+    /// every offered event read it, so it is assembled once per `apply`.
     /// `None` = not computed yet; `Some(None)` = computed, shard idle.
     /// Invalidated on apply.
     current_state: Option<Option<ShardState>>,

@@ -4,6 +4,7 @@ use crate::layer::{LayerDesc, TensorShape};
 use crate::zoo;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::{Arc, OnceLock};
 
 /// A *schedulable unit*: a contiguous block of layers that the manager never
 /// splits (a conv block, a residual bottleneck, an inception cell, …).
@@ -68,12 +69,17 @@ impl Unit {
 }
 
 /// A complete DNN description: input shape plus ordered schedulable units.
+///
+/// Descriptions are immutable once built, so the name and unit list live
+/// behind `Arc`s: cloning a model (every [`ModelId::build`], every
+/// workload that holds it) bumps two refcounts instead of copying the
+/// layer list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DnnModel {
     id: ModelId,
-    name: String,
+    name: Arc<str>,
     input: TensorShape,
-    units: Vec<Unit>,
+    units: Arc<[Unit]>,
 }
 
 impl DnnModel {
@@ -85,7 +91,7 @@ impl DnnModel {
     /// Panics if `units` is empty.
     pub fn new(id: ModelId, name: impl Into<String>, input: TensorShape, units: Vec<Unit>) -> Self {
         assert!(!units.is_empty(), "a model needs at least one unit");
-        Self { id, name: name.into(), input, units }
+        Self { id, name: Arc::from(name.into()), input, units: Arc::from(units) }
     }
 
     /// The registry id this model was built from.
@@ -173,8 +179,21 @@ macro_rules! model_registry {
                 }
             }
 
-            /// Builds the full layer-level description of this architecture.
+            /// The full layer-level description of this architecture.
+            ///
+            /// Every description is built once per process, on the first
+            /// call, and shared: the returned model is a clone whose unit
+            /// storage is the same allocation for every caller.
             pub fn build(self) -> DnnModel {
+                static ZOO: OnceLock<Vec<DnnModel>> = OnceLock::new();
+                let zoo = ZOO.get_or_init(|| {
+                    ModelId::all().into_iter().map(ModelId::build_uncached).collect()
+                });
+                zoo[self as usize].clone()
+            }
+
+            /// Runs this architecture's zoo builder.
+            fn build_uncached(self) -> DnnModel {
                 match self {
                     $(ModelId::$variant => $builder(self)),+
                 }
@@ -300,6 +319,20 @@ mod tests {
                 }
                 prev = Some(l.index);
             }
+        }
+    }
+
+    #[test]
+    fn builds_match_the_zoo_and_share_units() {
+        for id in ModelId::all() {
+            let a = id.build();
+            let b = id.build();
+            assert_eq!(a, id.build_uncached(), "{id}: shared build differs from its builder");
+            assert_eq!(a.id(), id);
+            assert!(
+                std::ptr::eq(a.units().as_ptr(), b.units().as_ptr()),
+                "{id}: two builds must share unit storage"
+            );
         }
     }
 

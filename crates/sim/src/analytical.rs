@@ -67,40 +67,42 @@ impl<'p> AnalyticalEngine<'p> {
     }
 
     /// Solves an already compiled workload.
+    ///
+    /// Everything that does not change between fixed-point iterations is
+    /// done once per query: the stages are flattened into one table grouped
+    /// by component, each carrying its DNN, inflated time and clamped
+    /// sharing weight, and every scratch buffer is allocated up front. The
+    /// iterations then only recompute demands and run the weighted max–min
+    /// allocation in place.
     pub fn solve(&self, compiled: &CompiledWorkload) -> ThroughputReport {
         let n = compiled.dnn_count();
-        let by_comp = compiled.stages_by_component();
+        let table = StageTable::new(compiled);
+        let total = table.dnn.len();
+        let mut demands = vec![0.0; total];
+        let mut alloc = vec![0.0; total];
+        let mut unsat = Vec::with_capacity(table.widest_group());
+        let mut limit = vec![f64::INFINITY; n];
         // Start at the (inflated) isolated pipeline bound.
         let bounds: Vec<f64> = (0..n).map(|d| compiled.pipeline_bound(d)).collect();
         let mut x: Vec<f64> = bounds.clone();
         for _ in 0..self.iterations {
-            let mut limit = vec![f64::INFINITY; n];
-            for stages in &by_comp {
-                if stages.is_empty() {
-                    continue;
+            limit.fill(f64::INFINITY);
+            for group in table.groups.windows(2) {
+                let range = group[0]..group[1];
+                for i in range.clone() {
+                    demands[i] = x[table.dnn[i]] * table.seconds[i];
                 }
-                let demands: Vec<f64> = stages
-                    .iter()
-                    .map(|&(d, k)| x[d] * compiled.stages[d][k].inflated_seconds)
-                    .collect();
-                // Preemptive components (CPU clusters) share time equally
-                // per stage; non-preemptive queues (GPU) serve whole kernels
-                // round-robin, i.e. weight = mean kernel duration.
-                let weights: Vec<f64> = stages
-                    .iter()
-                    .map(|&(d, k)| {
-                        let s = &compiled.stages[d][k];
-                        if s.preemptive {
-                            1.0
-                        } else {
-                            s.mean_kernel_seconds() * 1e3
-                        }
-                    })
-                    .collect();
-                let alloc = weighted_max_min_fair(&demands, &weights, 1.0);
-                for (i, &(d, k)) in stages.iter().enumerate() {
-                    let t = compiled.stages[d][k].inflated_seconds;
+                fair_share_in_place(
+                    &demands[range.clone()],
+                    &table.weight[range.clone()],
+                    1.0,
+                    &mut alloc[range.clone()],
+                    &mut unsat,
+                );
+                for i in range {
+                    let t = table.seconds[i];
                     if t > 0.0 {
+                        let d = table.dnn[i];
                         limit[d] = limit[d].min(alloc[i] / t);
                     }
                 }
@@ -120,50 +122,122 @@ impl<'p> AnalyticalEngine<'p> {
     }
 }
 
+/// A compiled workload's stages flattened for the solver: struct-of-arrays
+/// entries grouped by component, in [`CompiledWorkload::stages_by_component`]
+/// order.
+struct StageTable {
+    /// Owning DNN of each stage.
+    dnn: Vec<usize>,
+    /// Inflated execution seconds of each stage.
+    seconds: Vec<f64>,
+    /// Sharing weight of each stage, already clamped to `1e-12`.
+    weight: Vec<f64>,
+    /// Component `c`'s stages are `groups[c]..groups[c + 1]`.
+    groups: Vec<usize>,
+}
+
+impl StageTable {
+    fn new(compiled: &CompiledWorkload) -> Self {
+        let mut groups = vec![0usize; compiled.component_count + 1];
+        for s in compiled.stages.iter().flatten() {
+            groups[s.component.index() + 1] += 1;
+        }
+        for c in 0..compiled.component_count {
+            groups[c + 1] += groups[c];
+        }
+        let total = groups[compiled.component_count];
+        let mut table = Self {
+            dnn: vec![0; total],
+            seconds: vec![0.0; total],
+            weight: vec![0.0; total],
+            groups,
+        };
+        let mut next = table.groups.clone();
+        for (d, dnn) in compiled.stages.iter().enumerate() {
+            for s in dnn {
+                let i = next[s.component.index()];
+                next[s.component.index()] += 1;
+                table.dnn[i] = d;
+                table.seconds[i] = s.inflated_seconds;
+                // Preemptive components (CPU clusters) share time equally
+                // per stage; non-preemptive queues (GPU) serve whole
+                // kernels round-robin, i.e. weight = mean kernel duration.
+                let w = if s.preemptive { 1.0 } else { s.mean_kernel_seconds() * 1e3 };
+                table.weight[i] = w.max(1e-12);
+            }
+        }
+        table
+    }
+
+    /// Number of stages on the most crowded component.
+    fn widest_group(&self) -> usize {
+        self.groups.windows(2).map(|g| g[1] - g[0]).max().unwrap_or(0)
+    }
+}
+
 /// Weighted max–min fair allocation of `capacity` across `demands`: every
 /// demand is either fully satisfied or capped at a level proportional to
 /// its weight; leftover capacity from small demands is redistributed.
 ///
 /// With equal weights this reduces to classic max–min fairness. Weight here
 /// is the mean kernel duration: coarse-kernel stages hold the server longer
-/// per round, exactly like a non-preemptive round-robin queue.
+/// per round, exactly like a non-preemptive round-robin queue. Weights are
+/// clamped to at least `1e-12`.
 pub fn weighted_max_min_fair(demands: &[f64], weights: &[f64], capacity: f64) -> Vec<f64> {
     assert_eq!(demands.len(), weights.len(), "demands/weights length mismatch");
-    let n = demands.len();
-    let mut alloc = vec![0.0; n];
-    if n == 0 {
-        return alloc;
-    }
+    let clamped: Vec<f64> = weights.iter().map(|w| w.max(1e-12)).collect();
+    let mut alloc = vec![0.0; demands.len()];
+    fair_share_in_place(demands, &clamped, capacity, &mut alloc, &mut Vec::new());
+    alloc
+}
+
+/// [`weighted_max_min_fair`] over pre-clamped `weights`, writing every
+/// entry of `alloc` and using `unsat` as scratch for the indices still
+/// unsatisfied. Each round sums the unsatisfied weights in index order,
+/// then satisfies (and subtracts from the remaining capacity, in index
+/// order) every demand at or below its share of the fair level.
+fn fair_share_in_place(
+    demands: &[f64],
+    weights: &[f64],
+    capacity: f64,
+    alloc: &mut [f64],
+    unsat: &mut Vec<usize>,
+) {
     let total: f64 = demands.iter().sum();
     if total <= capacity {
         alloc.copy_from_slice(demands);
-        return alloc;
+        return;
     }
     let mut remaining = capacity;
-    let mut unsat: Vec<usize> = (0..n).collect();
+    unsat.clear();
+    unsat.extend(0..demands.len());
     loop {
-        let weight_sum: f64 = unsat.iter().map(|&i| weights[i].max(1e-12)).sum();
+        let weight_sum: f64 = unsat.iter().map(|&i| weights[i]).sum();
         // Fair level λ such that each unsatisfied i would get λ·w_i.
         let level = remaining / weight_sum;
-        let (sat, still): (Vec<usize>, Vec<usize>) = unsat
-            .iter()
-            .partition(|&&i| demands[i] <= level * weights[i].max(1e-12));
-        if sat.is_empty() {
-            for &i in &still {
-                alloc[i] = level * weights[i].max(1e-12);
+        let before = unsat.len();
+        let mut kept = 0;
+        for j in 0..before {
+            let i = unsat[j];
+            if demands[i] <= level * weights[i] {
+                alloc[i] = demands[i];
+                remaining -= demands[i];
+            } else {
+                unsat[kept] = i;
+                kept += 1;
             }
-            break;
         }
-        for &i in &sat {
-            alloc[i] = demands[i];
-            remaining -= demands[i];
+        if kept == before {
+            for &i in unsat.iter() {
+                alloc[i] = level * weights[i];
+            }
+            return;
         }
-        unsat = still;
+        unsat.truncate(kept);
         if unsat.is_empty() {
-            break;
+            return;
         }
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -198,6 +272,18 @@ mod tests {
         let a = weighted_max_min_fair(&[0.5, 0.7, 0.2, 1.4], &[1.0, 2.0, 0.5, 4.0], 1.0);
         let sum: f64 = a.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "over-capacity case should use all capacity");
+    }
+
+    #[test]
+    fn fair_redistributes_over_several_rounds() {
+        // Round 1 (level 0.25) satisfies only the 0.05 demand; round 2
+        // (level 0.95/3) then satisfies the 0.3 one; round 3 splits the
+        // rest of the capacity between the two large demands.
+        let a = weighted_max_min_fair(&[0.05, 0.3, 0.9, 0.9], &[1.0; 4], 1.0);
+        assert_eq!(a[0], 0.05);
+        assert_eq!(a[1], 0.3);
+        assert!((a[2] - 0.325).abs() < 1e-12);
+        assert!((a[3] - 0.325).abs() < 1e-12);
     }
 
     #[test]

@@ -164,31 +164,28 @@ impl CompiledWorkload {
         let n = self.component_count;
         let d_count = self.stages.len();
         let soft = |ws: f64, cache: f64| ws / (ws + cache);
-        // footprint[d][p] = soft per-DNN working set on component p.
-        let mut raw_fp = vec![vec![0.0f64; n]; d_count];
+        // footprint[d * n + p]: per-DNN working set on component p, summed
+        // and then softened in place.
+        let mut footprint = vec![0.0f64; d_count * n];
         let mut counts = vec![0usize; n];
         for (d, dnn) in self.stages.iter().enumerate() {
             for s in dnn {
-                raw_fp[d][s.component.index()] += s.working_set;
+                footprint[d * n + s.component.index()] += s.working_set;
                 counts[s.component.index()] += 1;
             }
         }
-        let footprint: Vec<Vec<f64>> = raw_fp
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(p, &ws)| soft(ws, cache_bytes[p]))
-                    .collect()
-            })
-            .collect();
+        for row in footprint.chunks_exact_mut(n.max(1)) {
+            for (p, fp) in row.iter_mut().enumerate() {
+                *fp = soft(*fp, cache_bytes[p]);
+            }
+        }
         let pressure: Vec<f64> =
-            (0..n).map(|p| footprint.iter().map(|row| row[p]).sum()).collect();
+            (0..n).map(|p| (0..d_count).map(|d| footprint[d * n + p]).sum()).collect();
         for (d, dnn) in self.stages.iter_mut().enumerate() {
             for s in dnn.iter_mut() {
                 let p = s.component.index();
                 let sens = soft(s.working_set, cache_bytes[p]);
-                let others = (pressure[p] - footprint[d][p]).max(0.0);
+                let others = (pressure[p] - footprint[d * n + p]).max(0.0);
                 let co = counts[p].saturating_sub(1) as f64;
                 let inflate =
                     (1.0 + params.theta * sens * others).powf(params.kappa) + params.alpha * co;
@@ -326,11 +323,19 @@ impl WorkloadCosts {
         let cost = CostModel::new(&self.platform);
         let mut stages: Vec<Vec<CompiledStage>> = Vec::with_capacity(self.unit_seconds.len());
         for d in 0..self.unit_seconds.len() {
-            let specs = mapping.stages(d);
-            let mut list = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
-                let c = spec.component.index();
-                let range = spec.unit_range.clone();
+            // Walk the maximal same-component runs of the assignment
+            // directly (the stages `Mapping::stages` would list).
+            let assign = mapping.assignment(d);
+            let runs = 1 + assign.windows(2).filter(|pair| pair[0] != pair[1]).count();
+            let mut list = Vec::with_capacity(runs);
+            let mut start = 0;
+            for end in 1..=assign.len() {
+                let component = assign[start];
+                if end < assign.len() && assign[end] == component {
+                    continue;
+                }
+                let c = component.index();
+                let range = start..end;
                 let base: f64 = self.unit_seconds[d][c][range.clone()].iter().sum();
                 let weights: u64 = self.unit_weight_bytes[d][range.clone()].iter().sum();
                 let peak_act = self.unit_peak_activation[d][range.clone()]
@@ -338,18 +343,14 @@ impl WorkloadCosts {
                     .max()
                     .copied()
                     .unwrap_or(0);
-                let transfer = if i + 1 < specs.len() {
-                    cost.transfer_seconds(
-                        self.unit_out_bytes[d][range.end - 1],
-                        spec.component,
-                        specs[i + 1].component,
-                    )
+                let transfer = if end < assign.len() {
+                    cost.transfer_seconds(self.unit_out_bytes[d][end - 1], component, assign[end])
                 } else {
                     0.0
                 };
-                let kernels: usize = self.unit_kernels[d][range.clone()].iter().sum();
+                let kernels: usize = self.unit_kernels[d][range].iter().sum();
                 list.push(CompiledStage {
-                    component: spec.component,
+                    component,
                     base_seconds: base,
                     inflated_seconds: base, // filled in below
                     working_set: (weights + peak_act) as f64,
@@ -357,6 +358,7 @@ impl WorkloadCosts {
                     kernel_count: kernels,
                     preemptive: self.preemptive[c],
                 });
+                start = end;
             }
             stages.push(list);
         }
