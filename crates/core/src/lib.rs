@@ -21,7 +21,8 @@
 //!   random workloads labelled on the (simulated) board, 90/10 split,
 //!   VQ-VAE + estimator training with channel-shuffle augmentation.
 //! * **Dynamic runtime** ([`runtime`]): DNN arrivals/departures and
-//!   priority changes over time, re-mapping at every event (Fig. 8/10).
+//!   priority changes over time, re-mapping at every event (Fig. 8/10),
+//!   on a simulated board whose reports are memoized ([`board`]).
 //! * **Metrics** ([`metrics`]): normalized throughput `T`, potential `P`,
 //!   Pearson correlation, starvation counts.
 //!
@@ -41,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod board;
 pub mod dataset;
 pub mod json;
 pub mod manager;

@@ -36,6 +36,7 @@
 //! to [`DynamicRuntime::run`] (which is now a thin wrapper over a
 //! session).
 
+use crate::board::SharedBoard;
 use crate::dataset::ideal_rates;
 use crate::manager::RankMapManager;
 use crate::oracle::ThroughputOracle;
@@ -45,6 +46,7 @@ use rankmap_platform::{ComponentId, Platform};
 use rankmap_sim::{EventEngine, Mapping, MigrationModel, Workload};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Stable identity of one running DNN instance, assigned at arrival.
 ///
@@ -407,17 +409,39 @@ impl<'p> DynamicRuntime<'p> {
     }
 
     /// Opens a step-wise session with precomputed ideal rates (one entry
-    /// per model that may arrive). A fleet of shards on identical boards
-    /// measures the rates once and clones the map per shard.
+    /// per model that may arrive), on a board of its own: its report memo
+    /// is shared with no other session.
     pub fn session_with_ideals(&self, ideals: HashMap<ModelId, f64>) -> RuntimeSession<'p> {
+        self.session_on(self.board(ideals))
+    }
+
+    /// The board this runtime's sessions simulate, with precomputed ideal
+    /// rates and an empty report memo (see [`SharedBoard`]). A fleet of
+    /// shards on identical boards builds one and opens every shard's
+    /// session on it with [`DynamicRuntime::session_on`], so the rates are
+    /// stored once and every shard reuses every other's simulations.
+    pub fn board(&self, ideals: HashMap<ModelId, f64>) -> Arc<SharedBoard<'p>> {
+        Arc::new(SharedBoard::new(EventEngine::quick(self.platform), ideals))
+    }
+
+    /// Opens a step-wise session on a shared board.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the board simulates a different platform than this
+    /// runtime's (its memoized reports would answer for the wrong board).
+    pub fn session_on(&self, board: Arc<SharedBoard<'p>>) -> RuntimeSession<'p> {
+        assert!(
+            std::ptr::eq(board.platform(), self.platform),
+            "a shared board serves only sessions on its own platform"
+        );
         let mut migration = MigrationModel::new(self.platform);
         if let Some(per_unit) = self.stem_rebuild {
             migration = migration.with_stem_rebuild(per_unit);
         }
         RuntimeSession {
-            engine: EventEngine::quick(self.platform),
+            board,
             migration,
-            ideals,
             sample_dt: self.sample_dt,
             migration_aware: self.migration_aware,
             objective: self.objective,
@@ -481,9 +505,10 @@ struct Segment {
 /// [`DynamicRuntime::run`], factored out so a fleet can interleave many
 /// shards on one global clock.
 ///
-/// A session is plain owned state and therefore `Send` (asserted in
-/// tests): the shard-parallel fleet executor moves `&mut` sessions onto
-/// worker threads between event barriers.
+/// A session is owned state plus an `Arc` of its [`SharedBoard`] (which
+/// is `Send + Sync`), and therefore `Send` (asserted in tests): the
+/// shard-parallel fleet executor moves `&mut` sessions onto worker threads
+/// between event barriers.
 ///
 /// Protocol: [`RuntimeSession::advance_to`] moves the clock forward,
 /// [`RuntimeSession::apply`] applies a batch of same-time events at the
@@ -492,9 +517,10 @@ struct Segment {
 /// when the segment *ends* (the next `apply`/`finish` names its end
 /// time), so the output of `run` is reproduced exactly.
 pub struct RuntimeSession<'p> {
-    engine: EventEngine<'p>,
+    /// The simulated board, its ideal rates and report memo — shared with
+    /// every session opened on the same [`SharedBoard`].
+    board: Arc<SharedBoard<'p>>,
     migration: MigrationModel<'p>,
-    ideals: HashMap<ModelId, f64>,
     sample_dt: f64,
     migration_aware: bool,
     objective: GainObjective,
@@ -517,7 +543,13 @@ pub struct RuntimeSession<'p> {
     timeline: Vec<TimelinePoint>,
 }
 
-impl RuntimeSession<'_> {
+impl<'p> RuntimeSession<'p> {
+    /// The board this session simulates (shared with every session
+    /// opened on it).
+    pub fn board(&self) -> &Arc<SharedBoard<'p>> {
+        &self.board
+    }
+
     /// The session clock (seconds; last `advance_to`/`finish` target).
     pub fn clock(&self) -> f64 {
         self.clock
@@ -542,7 +574,7 @@ impl RuntimeSession<'_> {
     /// [`ideal_rate_of`]) — a 0.0 fallback would silently turn the next
     /// potential division into infinity.
     pub fn ideal_rate(&self, model: ModelId) -> f64 {
-        ideal_rate_of(&self.ideals, model)
+        ideal_rate_of(self.board.ideals(), model)
     }
 
     /// Timeline points emitted so far (closed segments only).
@@ -657,9 +689,9 @@ impl RuntimeSession<'_> {
         }
         // Reuse the decision's simulation of the adopted mapping when it
         // ran one — the event engine is the expensive part of the event
-        // path.
+        // path (and every simulation goes through the board's memo).
         let report =
-            decided_report.unwrap_or_else(|| self.engine.evaluate(&workload, &mapping));
+            decided_report.unwrap_or_else(|| self.board.evaluate(&workload, &mapping));
         // A throttled board serves `derate ×` the nominal rates; at 1.0
         // the multiplication is exact and the timeline is bit-identical
         // to the pre-derate code path.
@@ -667,7 +699,7 @@ impl RuntimeSession<'_> {
             .per_dnn
             .iter()
             .zip(&self.instances)
-            .map(|(&thr, (_, m))| self.derate * thr / ideal_rate_of(&self.ideals, *m))
+            .map(|(&thr, (_, m))| self.derate * thr / ideal_rate_of(self.board.ideals(), *m))
             .collect();
         let throughputs: Vec<f64> =
             report.per_dnn.iter().map(|&thr| self.derate * thr).collect();
@@ -760,7 +792,7 @@ impl RuntimeSession<'_> {
                 }
             }
             GainObjective::PriorityPotential => {
-                weighted_potential(&self.ideals, workload, per_dnn, weights)
+                weighted_potential(self.board.ideals(), workload, per_dnn, weights)
             }
         }
     }
@@ -802,8 +834,8 @@ impl RuntimeSession<'_> {
         let weights = priorities_or_uniform(mapper, workload);
         // Integrated gain over the window: switching trades `blocked`
         // seconds of silence for the candidate's (hopefully higher) score.
-        let inc_report = self.engine.evaluate(workload, &incumbent_mapping);
-        let cand_report = self.engine.evaluate(workload, &candidate);
+        let inc_report = self.board.evaluate(workload, &incumbent_mapping);
+        let cand_report = self.board.evaluate(workload, &candidate);
         let inc_score = self.gain_score(workload, &inc_report.per_dnn, &weights);
         let cand_score = self.gain_score(workload, &cand_report.per_dnn, &weights);
         if cand_score * (window - blocked) > inc_score * window {
@@ -1231,6 +1263,45 @@ mod tests {
         }
         session.finish(horizon);
         assert_eq!(session.into_timeline(), reference);
+    }
+
+    #[test]
+    fn sessions_share_a_board_only_when_opened_on_it() {
+        let p = Platform::orange_pi_5();
+        let rt = DynamicRuntime::new(&p, 50.0);
+        let ideals = ideal_rates(&p, &[ModelId::AlexNet, ModelId::ResNet50]);
+        let own_a = rt.session_with_ideals(ideals.clone());
+        let own_b = rt.session_with_ideals(ideals.clone());
+        assert!(!Arc::ptr_eq(own_a.board(), own_b.board()), "standalone sessions memoize alone");
+
+        let board = rt.board(ideals);
+        let mut a = rt.session_on(Arc::clone(&board));
+        let mut b = rt.session_on(Arc::clone(&board));
+        let events = [
+            DynamicEvent::arrive(0.0, ModelId::AlexNet),
+            DynamicEvent::arrive(0.0, ModelId::ResNet50),
+        ];
+        a.apply(&events, 10.0, &mut GpuOnly);
+        let after_a = board.memo_stats();
+        assert_eq!(after_a, rankmap_telemetry::MemoStats { hits: 0, misses: 1 });
+        b.apply(&events, 10.0, &mut GpuOnly);
+        assert_eq!(
+            board.memo_stats(),
+            rankmap_telemetry::MemoStats { hits: 1, misses: 1 },
+            "the second session reuses the first one's simulation"
+        );
+        a.finish(10.0);
+        b.finish(10.0);
+        assert_eq!(a.into_timeline(), b.into_timeline());
+    }
+
+    #[test]
+    #[should_panic(expected = "its own platform")]
+    fn a_board_refuses_sessions_on_another_platform() {
+        let p = Platform::orange_pi_5();
+        let q = Platform::orange_pi_5();
+        let board = DynamicRuntime::new(&p, 50.0).board(HashMap::new());
+        let _ = DynamicRuntime::new(&q, 50.0).session_on(board);
     }
 
     #[test]

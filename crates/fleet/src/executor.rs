@@ -75,6 +75,7 @@ use crate::shard::{Shard, ShardPrepared};
 use crate::spec::FleetSpec;
 use crate::speculate::{SpecEntry, SpeculationCache};
 use crate::telemetry::{stage, FleetTelemetry, TelemetrySpec};
+use rankmap_core::board::SharedBoard;
 use rankmap_core::dataset::ideal_rates;
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
 use rankmap_core::oracle::ThroughputOracle;
@@ -84,9 +85,10 @@ use rankmap_core::runtime::{
     RankMapMapper, TimelinePoint,
 };
 use rankmap_models::ModelId;
-use rankmap_telemetry::Histogram;
+use rankmap_telemetry::{Histogram, MemoStats};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Upper bound on the epoch log's lookahead window (events buffered and
@@ -495,6 +497,9 @@ pub struct FleetExecutor<'p, O: ThroughputOracle> {
     /// telemetry sampler's `fleet_shard_epoch_lag` gauge — observability
     /// only, never read by a decision.
     pub(crate) epoch_lags: Vec<u64>,
+    /// One shared board per platform group: the group's ideal rates and
+    /// the report memo all of its shards' sessions evaluate through.
+    pub(crate) boards: Vec<Arc<SharedBoard<'p>>>,
     pub(crate) shards: Vec<Shard<'p, O>>,
 }
 
@@ -531,27 +536,30 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         }
         let mut shards = Vec::with_capacity(spec.shard_count());
         let mut group_oracles = Vec::with_capacity(spec.groups().len());
+        let mut boards = Vec::with_capacity(spec.groups().len());
         for (g, group) in spec.groups().iter().enumerate() {
             group_oracles.push(group.oracle);
-            let ideals = ideal_rates(group.platform, &ModelId::all());
             let runtime = DynamicRuntime::new(group.platform, config.sample_dt)
                 .with_gain_objective(config.objective)
                 .with_migration_awareness(config.migration_aware);
+            // One record per group: the ideal rates and the report memo
+            // every shard of the group shares.
+            let board = runtime.board(ideal_rates(group.platform, &ModelId::all()));
             for _ in 0..group.count {
                 let i = shards.len();
                 shards.push(Shard::new(
                     group.platform,
                     group.oracle,
                     g,
-                    ideals.clone(),
                     RankMapMapper::new(
                         RankMapManager::new(group.platform, group.oracle, config.manager),
                         PriorityMode::Dynamic,
                         format!("shard-{i}"),
                     ),
-                    runtime.session_with_ideals(ideals.clone()),
+                    runtime.session_on(Arc::clone(&board)),
                 ));
             }
+            boards.push(board);
         }
         Self {
             probe_memo: ProbeMemo::new(group_oracles.len(), config.probe_memo_capacity),
@@ -561,9 +569,18 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             telemetry: FleetTelemetry::new(config.telemetry, shards.len(), config.sample_dt),
             spec: SpeculationCache::default(),
             epoch_lags: vec![0; shards.len()],
+            boards,
             config,
             shards,
         }
+    }
+
+    /// Report-memo counters summed over the platform groups' boards.
+    pub(crate) fn board_memo_stats(&self) -> MemoStats {
+        self.boards.iter().fold(MemoStats::new(), |sum, board| {
+            let s = board.memo_stats();
+            MemoStats { hits: sum.hits + s.hits, misses: sum.misses + s.misses }
+        })
     }
 
     /// The worst loaded shard `(index, mean predicted potential)` among
@@ -1356,6 +1373,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             .values()
             .filter(|d| matches!(d, Disposition::Active { .. }))
             .count() as u64;
+        let board_memo = self.board_memo_stats();
         let Self { config, platforms, mut shards, probe_memo, telemetry, .. } = self;
         for_each_shard(config.parallelism, &mut shards, |_, shard| {
             shard.session.finish(horizon);
@@ -1408,6 +1426,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             placement_latency: LatencyStats::from_histogram(&state.latencies),
             evacuation_latency: LatencyStats::from_histogram(&state.evac_latencies),
             telemetry: telemetry_snapshot,
+            board_memo,
         }
     }
 }

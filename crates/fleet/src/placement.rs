@@ -215,7 +215,7 @@ impl<O: ThroughputOracle> Shard<'_, O> {
             return None;
         }
         let derate = self.throttle();
-        let arrival_ideal = ideal_rate_of(&self.ideals, model);
+        let arrival_ideal = ideal_rate_of(self.ideals(), model);
         // Trial workload: survivors first (keeping their incumbent
         // placements), the arrival appended, tried on every component.
         let trial = self.trial(model);
@@ -234,7 +234,7 @@ impl<O: ThroughputOracle> Shard<'_, O> {
                 // compares served scores on both sides.
                 let score = derate
                     * weighted_potential(
-                        &self.ideals,
+                        self.ideals(),
                         workload,
                         &per_dnn,
                         &weights[..workload.len()],
@@ -446,7 +446,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 let shard = &self.shards[probe.shard];
                 let predictions =
                     shard.oracle.predict_batch(&probe.trial, &probe.candidates);
-                scores[probe.shard] = probe.fold(&shard.ideals, floor, &predictions);
+                scores[probe.shard] = probe.fold(shard.ideals(), floor, &predictions);
             }
             self.telemetry.finish(scoring);
             if rep_mask.is_some() {
@@ -501,7 +501,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                     Err(slot) => &predictions[*slot],
                 };
                 scores[probe.shard] =
-                    probe.fold(&self.shards[probe.shard].ideals, floor, predictions);
+                    probe.fold(self.shards[probe.shard].ideals(), floor, predictions);
             }
         }
         self.telemetry.finish(scoring);

@@ -83,6 +83,7 @@ use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::TimelinePoint;
 use rankmap_models::ModelId;
 use rankmap_platform::Platform;
+use rankmap_telemetry::MemoStats;
 
 /// Everything a fleet run produces.
 #[derive(Debug, Clone)]
@@ -109,6 +110,14 @@ pub struct FleetOutcome {
     /// [`FleetConfig::telemetry`] was disabled. Enabled or disabled, the
     /// deterministic fields above are bit-identical.
     pub telemetry: Option<TelemetrySnapshot>,
+    /// Hit/miss counters of the board report memos at the end of the run,
+    /// summed over platform groups (see
+    /// [`FleetRuntime::board_memo_stats`]). Like the latency fields,
+    /// outside the deterministic [`FleetMetrics`]: under a parallel
+    /// executor two shards of one group can miss the same report at the
+    /// same time, so the split between hits and misses may differ from a
+    /// `Sequential` run even though every report is identical.
+    pub board_memo: MemoStats,
 }
 
 /// A fleet of emulated boards behind one admission/placement layer.
@@ -122,8 +131,9 @@ pub struct FleetRuntime<'p, O: ThroughputOracle> {
 
 impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     /// Builds a fleet from a [`FleetSpec`]: each group contributes
-    /// `count` shards on its own platform, with per-model ideal rates
-    /// measured once per group and cloned into its shards.
+    /// `count` shards on its own platform, sharing one board record per
+    /// group — per-model ideal rates measured once, and one report memo
+    /// (see [`FleetRuntime::board_memo_stats`]).
     ///
     /// # Example
     ///
@@ -228,6 +238,21 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     /// oracle-call savings.
     pub fn probe_memo_stats(&self) -> rankmap_telemetry::MemoStats {
         self.executor.probe_memo.stats()
+    }
+
+    /// Hit/miss counters of the board report memos, summed over platform
+    /// groups. Every shard's session evaluates its adopted mapping — and
+    /// the migration decision's incumbent and candidate — on the board
+    /// simulator through its group's memo, keyed exactly by the models in
+    /// order and the run-length-encoded mapping, and bounded by
+    /// [`rankmap_core::board::REPORT_MEMO_BOUND`] entries per group. A hit
+    /// is bit-identical to simulating again. The counters depend on the
+    /// executor (concurrent shards can miss the same key together), so
+    /// they are observability only and stay out of the telemetry
+    /// registry. A finished run's totals ride on
+    /// [`FleetOutcome::board_memo`].
+    pub fn board_memo_stats(&self) -> MemoStats {
+        self.executor.board_memo_stats()
     }
 
     /// A point-in-time telemetry snapshot — the registry with probe-memo
@@ -389,6 +414,36 @@ mod tests {
     fn fleet_runtime_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<FleetRuntime<'static, AnalyticalOracle<'static>>>();
+    }
+
+    #[test]
+    fn fleets_never_share_a_board_memo() {
+        let p = Platform::orange_pi_5();
+        let oracle = AnalyticalOracle::new(&p);
+        let config =
+            FleetConfig { parallelism: crate::Parallelism::Sequential, ..quick_config() };
+        let a = FleetRuntime::homogeneous(&p, &oracle, 2, config.clone());
+        let b = FleetRuntime::homogeneous(&p, &oracle, 2, config);
+        let board = |fleet: &FleetRuntime<'_, _>, s: usize| {
+            std::sync::Arc::as_ptr(fleet.executor.shards[s].session.board()) as usize
+        };
+        assert_eq!(board(&a, 0), board(&a, 1), "one board per platform group");
+        assert_ne!(board(&a, 0), board(&b, 0));
+        assert_eq!(a.board_memo_stats(), MemoStats::new());
+        let events = vec![
+            arrive(0.0, 0, ModelId::InceptionV4),
+            arrive(1.0, 1, ModelId::ResNet50),
+            arrive(2.0, 2, ModelId::AlexNet),
+            arrive(3.0, 3, ModelId::ResNet50),
+        ];
+        let first = a.execute(&events, 100.0);
+        let second = b.execute(&events, 100.0);
+        assert!(first.board_memo.misses > 0);
+        assert_eq!(
+            second.board_memo, first.board_memo,
+            "a second fleet starts with a cold memo of its own"
+        );
+        assert_eq!(second.metrics, first.metrics);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! A [`Shard`] is deliberately **owned, `Send` state** — no `Rc`, no
 //! `RefCell` — so the executor can hand `&mut Shard` to a worker thread
-//! between event barriers (see `crate::executor`). Every memo is a plain
-//! field mutated through `&mut self`: a shard is only ever touched by one
-//! thread at a time, and the type system now proves it.
+//! between event barriers (see `crate::executor`). Every per-shard memo is
+//! a plain field mutated through `&mut self`: a shard is only ever touched
+//! by one thread at a time, and the type system now proves it. The one
+//! shared piece is the platform group's board (ideal rates and the board
+//! report memo), reached through the session behind an `Arc` and locked
+//! only for a memo lookup or insert.
 
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{
@@ -31,9 +34,6 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// Index of the shard's [`crate::FleetSpec`] group — the fused
     /// scorer's batching domain.
     pub(crate) group: usize,
-    /// Per-model ideal rates measured on *this* board — the normalization
-    /// denominators of every potential this shard reports.
-    pub(crate) ideals: HashMap<ModelId, f64>,
     pub(crate) mapper: RankMapMapper<'p, O>,
     pub(crate) session: RuntimeSession<'p>,
     /// Memoized oracle prediction of the current (workload, incumbent)
@@ -78,7 +78,6 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
         platform: &'p Platform,
         oracle: &'p O,
         group: usize,
-        ideals: HashMap<ModelId, f64>,
         mapper: RankMapMapper<'p, O>,
         session: RuntimeSession<'p>,
     ) -> Self {
@@ -86,7 +85,6 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
             platform,
             oracle,
             group,
-            ideals,
             mapper,
             session,
             incumbent_prediction: None,
@@ -96,6 +94,13 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
             throttle: 1.0,
             epoch: 0,
         }
+    }
+
+    /// Per-model ideal rates measured on this shard's board type — the
+    /// normalization denominators of every potential this shard reports.
+    /// Held once per platform group, on the group's shared board.
+    pub(crate) fn ideals(&self) -> &HashMap<ModelId, f64> {
+        self.session.board().ideals()
     }
 
     /// Monotone mutation counter (see the `epoch` field).
@@ -206,7 +211,7 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     /// throttle-free runs are bit-identical to the pre-throttle code.
     pub(crate) fn uniform_mean_potential(&self, workload: &Workload, per_dnn: &[f64]) -> f64 {
         let uniform = vec![1.0; workload.len()];
-        self.throttle * weighted_potential(&self.ideals, workload, per_dnn, &uniform)
+        self.throttle * weighted_potential(self.ideals(), workload, per_dnn, &uniform)
             / workload.len() as f64
     }
 

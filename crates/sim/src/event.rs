@@ -5,7 +5,7 @@ use crate::report::ThroughputReport;
 use crate::workload::{Mapping, Workload};
 use rankmap_platform::Platform;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Simulation window configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,191 +144,283 @@ impl<'p> EventEngine<'p> {
     }
 }
 
-/// Internal mutable simulation state (split out so the event loop can use
-/// methods instead of borrow-heavy macros).
-struct EventSim<'c> {
-    compiled: &'c CompiledWorkload,
-    cfg: EventConfig,
+/// The simulation state, flattened into struct-of-arrays form.
+///
+/// Every (DNN, stage) pair gets one global stage id, a DNN's stages being
+/// consecutive ids, and every per-stage quantity is one array indexed by
+/// it. Chunk plans and transfer delays are priced in nanoseconds once, up
+/// front. Each component's round-robin queue is a ring in one shared
+/// buffer (a stage sits in at most one queue, at most once). Every pending
+/// event is one packed `u128` key, `time << 64 | seq << 24 | stage << 1 |
+/// kind`, so events pop by time, then in insertion order: chunk
+/// completions wait in one slot per component, frame arrivals in a heap.
+struct EventSim {
     horizon: u64,
     warmup: u64,
-    /// Frames waiting at each stage input (stage 0 is an infinite source).
-    avail: Vec<Vec<usize>>,
+    /// Measurement window, seconds (the divisor of every rate).
+    window: f64,
+    capacity: u32,
+    /// Component index of each stage.
+    comp: Vec<u32>,
+    /// Whether the stage is its DNN's first (an infinite frame source).
+    first: Vec<bool>,
+    /// Whether the stage is its DNN's last (frames leave the pipeline).
+    last: Vec<bool>,
+    /// Chunks per frame.
+    chunks: Vec<u32>,
+    /// Nanoseconds per chunk.
+    chunk_ns: Vec<u64>,
+    /// Nanoseconds to ship a frame to the next stage; 0 hands it over at
+    /// once (same component, or the last stage).
+    transfer_ns: Vec<u64>,
+    /// Frames waiting at each stage input.
+    avail: Vec<u32>,
     /// Reserved downstream-queue slots per stage.
-    reserved: Vec<Vec<usize>>,
-    /// Whether the stage is in a component's round-robin queue.
-    queued: Vec<Vec<bool>>,
+    reserved: Vec<u32>,
     /// Chunks completed of the frame currently in service (0 = idle).
-    progress: Vec<Vec<usize>>,
-    /// Chunk plan per stage: (chunk_count, chunk_ns).
-    chunks: Vec<Vec<(usize, u64)>>,
-    rr: Vec<VecDeque<(usize, usize)>>,
-    busy: Vec<bool>,
-    heap: BinaryHeap<Reverse<HeapEvent>>,
+    progress: Vec<u32>,
+    /// Whether the stage is in its component's round-robin queue.
+    queued: Vec<bool>,
+    /// Frames completed after warm-up (counted at last stages only).
+    done: Vec<u32>,
+    /// Round-robin rings: component `c` owns
+    /// `ring[ring_base[c]..ring_base[c] + ring_cap[c]]`.
+    ring: Vec<u32>,
+    ring_base: Vec<u32>,
+    ring_cap: Vec<u32>,
+    ring_head: Vec<u32>,
+    ring_len: Vec<u32>,
+    /// Packed key of each component's in-flight chunk completion
+    /// (`IDLE` when the component is idle). A component runs one chunk
+    /// at a time, so chunk completions never need the heap.
+    running: Vec<u128>,
+    /// Pending frame arrivals (cross-component transfers).
+    heap: BinaryHeap<Reverse<u128>>,
     seq: u64,
-    completions: Vec<u64>,
+    /// Last stage id of each DNN, in DNN order.
+    last_of: Vec<u32>,
 }
 
-/// `(time_ns, sequence, dnn, stage, kind)` — ordered by time then FIFO.
-type HeapEvent = (u64, u64, usize, usize, u8);
+/// Key of an idle component's (absent) chunk completion.
+const IDLE: u128 = u128::MAX;
 
-const EV_CHUNK_DONE: u8 = 0;
-const EV_FRAME_ARRIVED: u8 = 1;
+const EV_CHUNK_DONE: u64 = 0;
+const EV_FRAME_ARRIVED: u64 = 1;
+
+/// Bits of a heap key's low word below the sequence number: the stage id
+/// and the event kind.
+const SEQ_SHIFT: u32 = 24;
+const STAGE_MASK: u64 = (1 << (SEQ_SHIFT - 1)) - 1;
 
 fn to_ns(s: f64) -> u64 {
     (s * 1e9).round().max(0.0) as u64
 }
 
-impl<'c> EventSim<'c> {
-    fn new(compiled: &'c CompiledWorkload, cfg: EventConfig) -> Self {
-        let shape: Vec<usize> = compiled.stages.iter().map(Vec::len).collect();
-        let zeros = |init: usize| -> Vec<Vec<usize>> {
-            shape.iter().map(|&n| vec![init; n]).collect()
-        };
-        let chunks = compiled
-            .stages
-            .iter()
-            .map(|stages| {
-                stages
-                    .iter()
-                    .map(|s| {
-                        // CPU stages are sliced by the scheduler quantum;
-                        // GPU stages only yield at kernel boundaries.
-                        let n = if s.preemptive {
-                            (s.inflated_seconds / cfg.cpu_quantum_seconds).ceil().max(1.0)
-                                as usize
-                        } else {
-                            s.kernel_count.clamp(1, cfg.max_chunks_per_stage)
-                        };
-                        let dur = to_ns(s.inflated_seconds / n as f64).max(1);
-                        (n, dur)
-                    })
-                    .collect()
-            })
-            .collect();
-        Self {
-            compiled,
-            cfg,
+impl EventSim {
+    fn new(compiled: &CompiledWorkload, cfg: EventConfig) -> Self {
+        let total: usize = compiled.stages.iter().map(Vec::len).sum();
+        assert!(total as u64 <= STAGE_MASK, "too many stages for the event engine");
+        let mut sim = Self {
             horizon: to_ns(cfg.sim_seconds),
             warmup: to_ns(cfg.warmup_seconds),
-            avail: zeros(0),
-            reserved: zeros(0),
-            queued: compiled.stages.iter().map(|s| vec![false; s.len()]).collect(),
-            progress: zeros(0),
-            chunks,
-            rr: vec![VecDeque::new(); compiled.component_count],
-            busy: vec![false; compiled.component_count],
+            window: (cfg.sim_seconds - cfg.warmup_seconds).max(1e-9),
+            capacity: u32::try_from(cfg.queue_capacity).unwrap_or(u32::MAX),
+            comp: Vec::with_capacity(total),
+            first: Vec::with_capacity(total),
+            last: Vec::with_capacity(total),
+            chunks: Vec::with_capacity(total),
+            chunk_ns: Vec::with_capacity(total),
+            transfer_ns: Vec::with_capacity(total),
+            avail: vec![0; total],
+            reserved: vec![0; total],
+            progress: vec![0; total],
+            queued: vec![false; total],
+            done: vec![0; total],
+            ring: vec![0; total],
+            ring_base: Vec::with_capacity(compiled.component_count),
+            ring_cap: vec![0; compiled.component_count],
+            ring_head: vec![0; compiled.component_count],
+            ring_len: vec![0; compiled.component_count],
+            running: vec![IDLE; compiled.component_count],
             heap: BinaryHeap::new(),
             seq: 0,
-            completions: vec![0; compiled.dnn_count()],
+            last_of: Vec::with_capacity(compiled.dnn_count()),
+        };
+        for stages in &compiled.stages {
+            for (k, s) in stages.iter().enumerate() {
+                // CPU stages are sliced by the scheduler quantum; GPU
+                // stages only yield at kernel boundaries.
+                let n = if s.preemptive {
+                    (s.inflated_seconds / cfg.cpu_quantum_seconds).ceil().max(1.0) as usize
+                } else {
+                    s.kernel_count.clamp(1, cfg.max_chunks_per_stage)
+                };
+                let last = k + 1 == stages.len();
+                let transfer = s.transfer_out_seconds;
+                sim.comp.push(s.component.index() as u32);
+                sim.first.push(k == 0);
+                sim.last.push(last);
+                sim.chunks.push(u32::try_from(n).unwrap_or(u32::MAX));
+                sim.chunk_ns.push(to_ns(s.inflated_seconds / n as f64).max(1));
+                sim.transfer_ns.push(if !last && transfer > 0.0 {
+                    to_ns(transfer).max(1)
+                } else {
+                    0
+                });
+                sim.ring_cap[s.component.index()] += 1;
+                if last {
+                    sim.last_of.push(sim.comp.len() as u32 - 1);
+                }
+            }
         }
+        let mut base = 0;
+        for &cap in &sim.ring_cap {
+            sim.ring_base.push(base);
+            base += cap;
+        }
+        sim
     }
 
-    fn can_accept_frame(&self, d: usize, k: usize) -> bool {
-        let last = self.compiled.stages[d].len() - 1;
-        let has_input = k == 0 || self.avail[d][k] > 0;
-        let has_space = k == last || self.reserved[d][k] < self.cfg.queue_capacity;
-        has_input && has_space
+    fn can_accept_frame(&self, s: usize) -> bool {
+        (self.first[s] || self.avail[s] > 0)
+            && (self.last[s] || self.reserved[s] < self.capacity)
     }
 
     /// Runnable: mid-frame (always) or able to start a fresh frame.
-    fn runnable(&self, d: usize, k: usize) -> bool {
-        self.progress[d][k] > 0 || self.can_accept_frame(d, k)
+    fn runnable(&self, s: usize) -> bool {
+        self.progress[s] > 0 || self.can_accept_frame(s)
     }
 
-    fn push_event(&mut self, t: u64, d: usize, k: usize, kind: u8) {
+    /// The packed key of a new event: ordered by time, then by creation.
+    fn event_key(&mut self, t: u64, s: usize, kind: u64) -> u128 {
         self.seq += 1;
-        self.heap.push(Reverse((t, self.seq, d, k, kind)));
+        debug_assert!(self.seq < 1 << (64 - SEQ_SHIFT), "event sequence overflow");
+        let low = (self.seq << SEQ_SHIFT) | ((s as u64) << 1) | kind;
+        (u128::from(t) << 64) | u128::from(low)
+    }
+
+    fn ring_push(&mut self, c: usize, s: usize) {
+        let (cap, len) = (self.ring_cap[c], self.ring_len[c]);
+        debug_assert!(len < cap, "a stage is queued at most once");
+        let mut slot = self.ring_head[c] + len;
+        if slot >= cap {
+            slot -= cap;
+        }
+        self.ring[(self.ring_base[c] + slot) as usize] = s as u32;
+        self.ring_len[c] = len + 1;
+    }
+
+    fn ring_pop(&mut self, c: usize) -> Option<usize> {
+        if self.ring_len[c] == 0 {
+            return None;
+        }
+        let head = self.ring_head[c];
+        let s = self.ring[(self.ring_base[c] + head) as usize] as usize;
+        self.ring_head[c] = if head + 1 == self.ring_cap[c] { 0 } else { head + 1 };
+        self.ring_len[c] -= 1;
+        Some(s)
     }
 
     /// Enqueues a stage in its component's RR queue if runnable and absent.
-    fn wake(&mut self, d: usize, k: usize, now: u64) {
-        if !self.queued[d][k] && self.runnable(d, k) {
-            let comp = self.compiled.stages[d][k].component.index();
-            self.rr[comp].push_back((d, k));
-            self.queued[d][k] = true;
-            self.dispatch(comp, now);
+    fn wake(&mut self, s: usize, now: u64) {
+        if !self.queued[s] && self.runnable(s) {
+            let c = self.comp[s] as usize;
+            self.ring_push(c, s);
+            self.queued[s] = true;
+            self.dispatch(c, now);
         }
     }
 
     /// If the component is idle, starts the next runnable stage's chunk.
-    fn dispatch(&mut self, comp: usize, now: u64) {
-        if self.busy[comp] {
+    fn dispatch(&mut self, c: usize, now: u64) {
+        if self.running[c] != IDLE {
             return;
         }
-        while let Some((d, k)) = self.rr[comp].pop_front() {
-            self.queued[d][k] = false;
-            if self.progress[d][k] == 0 {
+        while let Some(s) = self.ring_pop(c) {
+            self.queued[s] = false;
+            if self.progress[s] == 0 {
                 // Start a fresh frame if inputs/space allow.
-                if !self.can_accept_frame(d, k) {
+                if !self.can_accept_frame(s) {
                     continue;
                 }
-                if k > 0 {
-                    self.avail[d][k] -= 1;
+                if !self.first[s] {
+                    self.avail[s] -= 1;
                 }
-                if k < self.compiled.stages[d].len() - 1 {
-                    self.reserved[d][k] += 1;
+                if !self.last[s] {
+                    self.reserved[s] += 1;
                 }
             }
-            self.busy[comp] = true;
-            let (_, dur) = self.chunks[d][k];
-            self.push_event(now + dur, d, k, EV_CHUNK_DONE);
+            self.running[c] = self.event_key(now + self.chunk_ns[s], s, EV_CHUNK_DONE);
             return;
         }
     }
 
-    fn on_chunk_done(&mut self, t: u64, d: usize, k: usize) {
-        let comp = self.compiled.stages[d][k].component.index();
-        self.busy[comp] = false;
-        self.progress[d][k] += 1;
-        let (n_chunks, _) = self.chunks[d][k];
-        if self.progress[d][k] >= n_chunks {
+    fn on_chunk_done(&mut self, t: u64, s: usize) {
+        let c = self.comp[s] as usize;
+        self.running[c] = IDLE;
+        self.progress[s] += 1;
+        if self.progress[s] >= self.chunks[s] {
             // Frame complete.
-            self.progress[d][k] = 0;
-            let last = self.compiled.stages[d].len() - 1;
-            if k == last {
+            self.progress[s] = 0;
+            if self.last[s] {
                 if t > self.warmup {
-                    self.completions[d] += 1;
+                    self.done[s] += 1;
                 }
+            } else if self.transfer_ns[s] > 0 {
+                let key = self.event_key(t + self.transfer_ns[s], s + 1, EV_FRAME_ARRIVED);
+                self.heap.push(Reverse(key));
             } else {
-                let transfer = self.compiled.stages[d][k].transfer_out_seconds;
-                if transfer > 0.0 {
-                    self.push_event(t + to_ns(transfer).max(1), d, k + 1, EV_FRAME_ARRIVED);
-                } else {
-                    self.avail[d][k + 1] += 1;
-                    self.reserved[d][k] -= 1;
-                    self.wake(d, k + 1, t);
-                }
+                self.avail[s + 1] += 1;
+                self.reserved[s] -= 1;
+                self.wake(s + 1, t);
             }
         }
         // Back of the queue (round-robin) if there is more to do.
-        self.wake(d, k, t);
-        self.dispatch(comp, t);
+        self.wake(s, t);
+        self.dispatch(c, t);
     }
 
-    fn on_frame_arrived(&mut self, t: u64, d: usize, k: usize) {
-        self.avail[d][k] += 1;
-        self.reserved[d][k - 1] -= 1;
-        self.wake(d, k, t);
+    fn on_frame_arrived(&mut self, t: u64, s: usize) {
+        self.avail[s] += 1;
+        self.reserved[s - 1] -= 1;
+        self.wake(s, t);
         // Upstream stage may have been blocked on the queue slot.
-        self.wake(d, k - 1, t);
+        self.wake(s - 1, t);
     }
 
     fn run(mut self) -> ThroughputReport {
-        for d in 0..self.compiled.dnn_count() {
-            self.wake(d, 0, 0);
+        let mut s = 0;
+        for d in 0..self.last_of.len() {
+            self.wake(s, 0);
+            s = self.last_of[d] as usize + 1;
         }
-        while let Some(Reverse((t, _s, d, k, kind))) = self.heap.pop() {
+        loop {
+            // The earliest pending event: the first chunk to finish, or
+            // the first frame to arrive, whichever comes first.
+            // `on_chunk_done` marks the component idle again.
+            let chunk = self.running.iter().copied().min().unwrap_or(IDLE);
+            let key = match self.heap.peek() {
+                Some(&Reverse(arrival)) if arrival < chunk => {
+                    self.heap.pop();
+                    arrival
+                }
+                _ if chunk != IDLE => chunk,
+                _ => break,
+            };
+            let t = (key >> 64) as u64;
             if t > self.horizon {
                 break;
             }
-            match kind {
-                EV_CHUNK_DONE => self.on_chunk_done(t, d, k),
-                _ => self.on_frame_arrived(t, d, k),
+            let low = key as u64;
+            let s = ((low >> 1) & STAGE_MASK) as usize;
+            if low & 1 == EV_CHUNK_DONE {
+                self.on_chunk_done(t, s);
+            } else {
+                self.on_frame_arrived(t, s);
             }
         }
-        let window = (self.cfg.sim_seconds - self.cfg.warmup_seconds).max(1e-9);
         ThroughputReport::new(
-            self.completions.iter().map(|&c| c as f64 / window).collect(),
+            self.last_of.iter().map(|&s| f64::from(self.done[s as usize]) / self.window).collect(),
         )
     }
 }

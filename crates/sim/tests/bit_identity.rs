@@ -1,13 +1,15 @@
-//! Bit-identity of the hot analytical path against straightforward
+//! Bit-identity of the hot simulator paths against straightforward
 //! reference implementations.
 //!
 //! `AnalyticalEngine::solve` flattens the stages once per query and runs
 //! its max–min allocation in place; `WorkloadCosts::compile` walks
-//! same-component runs from a pre-priced table. Both must reproduce, bit
-//! for bit, the simple formulation kept here: a solver that regroups the
-//! stages and allocates fresh vectors on every fixed-point iteration, and
-//! a compile that fuses stages with `Mapping::stages` and prices them with
-//! the roofline `CostModel`.
+//! same-component runs from a pre-priced table; `EventEngine::run` is a
+//! flat struct-of-arrays event loop with packed heap keys. All three must
+//! reproduce, bit for bit, the simple formulations kept here: a solver
+//! that regroups the stages and allocates fresh vectors on every
+//! fixed-point iteration, a compile that fuses stages with
+//! `Mapping::stages` and prices them with the roofline `CostModel`, and
+//! the nested-vector event loop the board simulator started as.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,9 +17,11 @@ use rand::{Rng, SeedableRng};
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, ComponentKind, Platform};
 use rankmap_sim::{
-    AnalyticalEngine, CompiledStage, CompiledWorkload, ContentionParams, CostModel, Mapping,
-    ThroughputReport, Workload, WorkloadCosts,
+    AnalyticalEngine, CompiledStage, CompiledWorkload, ContentionParams, CostModel, EventConfig,
+    EventEngine, Mapping, ThroughputReport, Workload, WorkloadCosts,
 };
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Fixed-point iterations of `AnalyticalEngine::new`.
 const ITERATIONS: usize = 160;
@@ -181,6 +185,202 @@ fn reference_compile(
     CompiledWorkload { stages, component_count: n }
 }
 
+/// Reference event simulation: the nested per-DNN vectors, per-component
+/// `VecDeque` round-robin queues and five-field heap events of the
+/// original board simulator.
+fn reference_simulate(compiled: &CompiledWorkload, cfg: EventConfig) -> ThroughputReport {
+    EventSim::new(compiled, cfg).run()
+}
+
+/// Internal mutable simulation state (split out so the event loop can use
+/// methods instead of borrow-heavy macros).
+struct EventSim<'c> {
+    compiled: &'c CompiledWorkload,
+    cfg: EventConfig,
+    horizon: u64,
+    warmup: u64,
+    /// Frames waiting at each stage input (stage 0 is an infinite source).
+    avail: Vec<Vec<usize>>,
+    /// Reserved downstream-queue slots per stage.
+    reserved: Vec<Vec<usize>>,
+    /// Whether the stage is in a component's round-robin queue.
+    queued: Vec<Vec<bool>>,
+    /// Chunks completed of the frame currently in service (0 = idle).
+    progress: Vec<Vec<usize>>,
+    /// Chunk plan per stage: (chunk_count, chunk_ns).
+    chunks: Vec<Vec<(usize, u64)>>,
+    rr: Vec<VecDeque<(usize, usize)>>,
+    busy: Vec<bool>,
+    heap: BinaryHeap<Reverse<HeapEvent>>,
+    seq: u64,
+    completions: Vec<u64>,
+}
+
+/// `(time_ns, sequence, dnn, stage, kind)` — ordered by time then FIFO.
+type HeapEvent = (u64, u64, usize, usize, u8);
+
+const EV_CHUNK_DONE: u8 = 0;
+const EV_FRAME_ARRIVED: u8 = 1;
+
+fn to_ns(s: f64) -> u64 {
+    (s * 1e9).round().max(0.0) as u64
+}
+
+impl<'c> EventSim<'c> {
+    fn new(compiled: &'c CompiledWorkload, cfg: EventConfig) -> Self {
+        let shape: Vec<usize> = compiled.stages.iter().map(Vec::len).collect();
+        let zeros = |init: usize| -> Vec<Vec<usize>> {
+            shape.iter().map(|&n| vec![init; n]).collect()
+        };
+        let chunks = compiled
+            .stages
+            .iter()
+            .map(|stages| {
+                stages
+                    .iter()
+                    .map(|s| {
+                        // CPU stages are sliced by the scheduler quantum;
+                        // GPU stages only yield at kernel boundaries.
+                        let n = if s.preemptive {
+                            (s.inflated_seconds / cfg.cpu_quantum_seconds).ceil().max(1.0)
+                                as usize
+                        } else {
+                            s.kernel_count.clamp(1, cfg.max_chunks_per_stage)
+                        };
+                        let dur = to_ns(s.inflated_seconds / n as f64).max(1);
+                        (n, dur)
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            compiled,
+            cfg,
+            horizon: to_ns(cfg.sim_seconds),
+            warmup: to_ns(cfg.warmup_seconds),
+            avail: zeros(0),
+            reserved: zeros(0),
+            queued: compiled.stages.iter().map(|s| vec![false; s.len()]).collect(),
+            progress: zeros(0),
+            chunks,
+            rr: vec![VecDeque::new(); compiled.component_count],
+            busy: vec![false; compiled.component_count],
+            heap: BinaryHeap::new(),
+            seq: 0,
+            completions: vec![0; compiled.dnn_count()],
+        }
+    }
+
+    fn can_accept_frame(&self, d: usize, k: usize) -> bool {
+        let last = self.compiled.stages[d].len() - 1;
+        let has_input = k == 0 || self.avail[d][k] > 0;
+        let has_space = k == last || self.reserved[d][k] < self.cfg.queue_capacity;
+        has_input && has_space
+    }
+
+    /// Runnable: mid-frame (always) or able to start a fresh frame.
+    fn runnable(&self, d: usize, k: usize) -> bool {
+        self.progress[d][k] > 0 || self.can_accept_frame(d, k)
+    }
+
+    fn push_event(&mut self, t: u64, d: usize, k: usize, kind: u8) {
+        self.seq += 1;
+        self.heap.push(Reverse((t, self.seq, d, k, kind)));
+    }
+
+    /// Enqueues a stage in its component's RR queue if runnable and absent.
+    fn wake(&mut self, d: usize, k: usize, now: u64) {
+        if !self.queued[d][k] && self.runnable(d, k) {
+            let comp = self.compiled.stages[d][k].component.index();
+            self.rr[comp].push_back((d, k));
+            self.queued[d][k] = true;
+            self.dispatch(comp, now);
+        }
+    }
+
+    /// If the component is idle, starts the next runnable stage's chunk.
+    fn dispatch(&mut self, comp: usize, now: u64) {
+        if self.busy[comp] {
+            return;
+        }
+        while let Some((d, k)) = self.rr[comp].pop_front() {
+            self.queued[d][k] = false;
+            if self.progress[d][k] == 0 {
+                // Start a fresh frame if inputs/space allow.
+                if !self.can_accept_frame(d, k) {
+                    continue;
+                }
+                if k > 0 {
+                    self.avail[d][k] -= 1;
+                }
+                if k < self.compiled.stages[d].len() - 1 {
+                    self.reserved[d][k] += 1;
+                }
+            }
+            self.busy[comp] = true;
+            let (_, dur) = self.chunks[d][k];
+            self.push_event(now + dur, d, k, EV_CHUNK_DONE);
+            return;
+        }
+    }
+
+    fn on_chunk_done(&mut self, t: u64, d: usize, k: usize) {
+        let comp = self.compiled.stages[d][k].component.index();
+        self.busy[comp] = false;
+        self.progress[d][k] += 1;
+        let (n_chunks, _) = self.chunks[d][k];
+        if self.progress[d][k] >= n_chunks {
+            // Frame complete.
+            self.progress[d][k] = 0;
+            let last = self.compiled.stages[d].len() - 1;
+            if k == last {
+                if t > self.warmup {
+                    self.completions[d] += 1;
+                }
+            } else {
+                let transfer = self.compiled.stages[d][k].transfer_out_seconds;
+                if transfer > 0.0 {
+                    self.push_event(t + to_ns(transfer).max(1), d, k + 1, EV_FRAME_ARRIVED);
+                } else {
+                    self.avail[d][k + 1] += 1;
+                    self.reserved[d][k] -= 1;
+                    self.wake(d, k + 1, t);
+                }
+            }
+        }
+        // Back of the queue (round-robin) if there is more to do.
+        self.wake(d, k, t);
+        self.dispatch(comp, t);
+    }
+
+    fn on_frame_arrived(&mut self, t: u64, d: usize, k: usize) {
+        self.avail[d][k] += 1;
+        self.reserved[d][k - 1] -= 1;
+        self.wake(d, k, t);
+        // Upstream stage may have been blocked on the queue slot.
+        self.wake(d, k - 1, t);
+    }
+
+    fn run(mut self) -> ThroughputReport {
+        for d in 0..self.compiled.dnn_count() {
+            self.wake(d, 0, 0);
+        }
+        while let Some(Reverse((t, _s, d, k, kind))) = self.heap.pop() {
+            if t > self.horizon {
+                break;
+            }
+            match kind {
+                EV_CHUNK_DONE => self.on_chunk_done(t, d, k),
+                _ => self.on_frame_arrived(t, d, k),
+            }
+        }
+        let window = (self.cfg.sim_seconds - self.cfg.warmup_seconds).max(1e-9);
+        ThroughputReport::new(
+            self.completions.iter().map(|&c| c as f64 / window).collect(),
+        )
+    }
+}
+
 /// Per-DNN-contiguous mapping: each DNN is cut into 1–3 contiguous
 /// segments, each placed on one random component (the shape search
 /// results take), as opposed to `Mapping::random`'s per-unit noise.
@@ -247,6 +447,107 @@ proptest! {
         prop_assert_eq!(got.per_dnn.len(), want.per_dnn.len());
         for (d, (g, r)) in got.per_dnn.iter().zip(&want.per_dnn).enumerate() {
             prop_assert_eq!(g.to_bits(), r.to_bits(), "dnn {}: {} vs {}", d, g, r);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat event loop's rates equal the reference simulation's in
+    /// every bit, under the short and the paper-scale window.
+    #[test]
+    fn event_loop_matches_reference((platform, w, m) in case(), paper_window in any::<bool>()) {
+        let cfg = if paper_window { EventConfig::default() } else { EventConfig::quick() };
+        let compiled = CompiledWorkload::compile(&platform, &w, &m, ContentionParams::default());
+        let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+        let want = reference_simulate(&compiled, cfg);
+        prop_assert_eq!(got.per_dnn.len(), want.per_dnn.len());
+        for (d, (g, r)) in got.per_dnn.iter().zip(&want.per_dnn).enumerate() {
+            prop_assert_eq!(g.to_bits(), r.to_bits(), "dnn {}: {} vs {}", d, g, r);
+        }
+    }
+}
+
+prop_compose! {
+    /// A hand-built compiled workload whose stage and transfer times are
+    /// whole milliseconds: events land on the same nanosecond all the
+    /// time, so the tie order (insertion order) decides the outcome.
+    fn tied()(seed in any::<u64>()) -> CompiledWorkload {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let components = rng.gen_range(2..=3usize);
+        let stages = (0..rng.gen_range(1..=5usize))
+            .map(|_| {
+                (0..rng.gen_range(1..=4usize))
+                    .map(|_| {
+                        let seconds = rng.gen_range(1..=3u32) as f64 * 1e-3;
+                        CompiledStage {
+                            component: ComponentId::new(rng.gen_range(0..components)),
+                            base_seconds: seconds,
+                            inflated_seconds: seconds,
+                            working_set: 0.0,
+                            transfer_out_seconds: rng.gen_range(0..=2u32) as f64 * 1e-3,
+                            kernel_count: rng.gen_range(1..=4usize),
+                            preemptive: rng.gen_bool(0.5),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        CompiledWorkload { stages, component_count: components }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Under constant collisions the flat loop still pops events in the
+    /// reference's order: by time, then by insertion.
+    #[test]
+    fn event_loop_matches_reference_under_ties(compiled in tied()) {
+        let cfg = EventConfig { cpu_quantum_seconds: 1e-3, ..EventConfig::quick() };
+        let platform = Platform::orange_pi_5();
+        let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+        let want = reference_simulate(&compiled, cfg);
+        let bits = |r: &ThroughputReport| r.per_dnn.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?}", got, want);
+    }
+}
+
+/// Every unit on a different component from its neighbour: each fused
+/// stage is one unit, and every hop pays a cross-component transfer, so
+/// frame-arrival events interleave with chunk completions throughout.
+#[test]
+fn event_loop_matches_reference_under_heavy_transfers() {
+    let ids = [ModelId::Vgg16, ModelId::ResNet50, ModelId::InceptionV4, ModelId::MobileNet];
+    for platform in [Platform::orange_pi_5(), Platform::jetson_orin_nx()] {
+        let components = platform.component_count();
+        let w = Workload::from_ids(ids);
+        let m = Mapping::new(
+            w.models()
+                .iter()
+                .enumerate()
+                .map(|(d, model)| {
+                    (0..model.unit_count())
+                        .map(|u| ComponentId::new((u + d) % components))
+                        .collect()
+                })
+                .collect(),
+        );
+        let compiled = CompiledWorkload::compile(&platform, &w, &m, ContentionParams::default());
+        let hops: usize = compiled
+            .stages
+            .iter()
+            .flatten()
+            .filter(|s| s.transfer_out_seconds > 0.0)
+            .count();
+        assert!(hops >= 60, "the mapping must force cross-component hops, got {hops}");
+        for cfg in [EventConfig::quick(), EventConfig::default()] {
+            let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+            let want = reference_simulate(&compiled, cfg);
+            let bits = |r: &ThroughputReport| r.per_dnn.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{got:?} vs {want:?}");
+            assert!(got.per_dnn.iter().any(|&x| x > 0.0), "the board must serve something");
         }
     }
 }
