@@ -343,10 +343,13 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code =
-            u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also take
+        // a leading `+`.
+        let mut code = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = char::from(b).to_digit(16).ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code << 4 | digit;
+        }
         self.pos += 4;
         Ok(code)
     }

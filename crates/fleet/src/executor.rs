@@ -237,10 +237,11 @@ pub struct FleetConfig {
     /// `Threads(n)` and `Async { workers, max_epoch_lag }` are
     /// bit-identical to it for any width and lag bound.
     pub parallelism: Parallelism,
-    /// LRU bound on the fused scorer's cross-event probe memo (entries
+    /// Bound on the fused scorer's cross-event probe memo (entries
     /// across all platform groups; each entry is one probe's candidate
-    /// predictions — a few hundred bytes). The least-recently-used probe
-    /// answer is evicted first, so the hottest probes stay memoized even
+    /// predictions — a few hundred bytes). Eviction is generational: the
+    /// oldest half goes whole, and an answer hit since it was inserted
+    /// moves to the young half, so the hottest probes stay memoized even
     /// under adversarial arrival mixes.
     ///
     /// # Panics
@@ -479,7 +480,7 @@ pub struct FleetExecutor<'p, O: ThroughputOracle> {
     /// Per-shard platform names, in shard order (the trace's fleet mix).
     pub(crate) platforms: Vec<String>,
     /// The fused scorer's cross-event memo: per-group oracle answers
-    /// keyed by probe fingerprint, LRU-bounded by
+    /// keyed by probe fingerprint, bounded by
     /// [`FleetConfig::probe_memo_capacity`]. A fingerprint fully
     /// determines the question (trial set, survivor placements, weights),
     /// so entries are pure and never stale.

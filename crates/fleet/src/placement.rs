@@ -27,29 +27,26 @@ use std::sync::Arc;
 
 /// Default upper bound on memoized probe answers across all platform
 /// groups (each entry is one probe's candidate predictions — a few
-/// hundred bytes). Past it the least-recently-used entry is evicted.
+/// hundred bytes).
 pub(crate) const PROBE_MEMO_BOUND: usize = 8_192;
 
-/// One memoized probe answer with its LRU recency stamp.
-struct MemoEntry {
-    predictions: Vec<Vec<f64>>,
-    /// Logical timestamp of the last hit or insert (LRU recency).
-    last_used: u64,
-}
-
 /// The fused scorer's cross-event memo of oracle answers: one map per
-/// platform group, keyed by probe fingerprint, bounded by an LRU policy
-/// (the plan cache's eviction pattern: a logical tick stamps every hit
-/// and insert, and the least-recently-used entry across *all* groups is
-/// evicted first). Entries are pure — a fingerprint fully determines the
+/// platform group, keyed by probe fingerprint, bounded across all groups
+/// with O(1) amortized generational eviction (the board report memo's
+/// scheme). Inserts go to the young generation; once the young maps of
+/// all groups hold half the capacity, each group's young map becomes its
+/// old one, dropping the previous old generation whole. A hit in the old
+/// generation moves the entry back to the young one, so an answer in use
+/// survives. Entries are pure — a fingerprint fully determines the
 /// oracle's answer — so eviction can only cost a recomputation, never
 /// change a decision.
 pub(crate) struct ProbeMemo {
-    groups: Vec<HashMap<Vec<u8>, MemoEntry>>,
+    young: Vec<HashMap<Vec<u8>, Vec<Vec<f64>>>>,
+    old: Vec<HashMap<Vec<u8>, Vec<Vec<f64>>>>,
     /// Total-entry bound across all groups.
     capacity: usize,
-    /// Logical clock driving `last_used`.
-    tick: u64,
+    /// Entries in the young maps, across all groups.
+    young_len: usize,
     hits: u64,
     misses: u64,
 }
@@ -65,28 +62,27 @@ impl ProbeMemo {
     pub(crate) fn new(groups: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "probe_memo_capacity must be positive");
         Self {
-            groups: (0..groups).map(|_| HashMap::new()).collect(),
+            young: (0..groups).map(|_| HashMap::new()).collect(),
+            old: (0..groups).map(|_| HashMap::new()).collect(),
             capacity,
-            tick: 0,
+            young_len: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     /// The memoized predictions for a probe fingerprint in group `g`,
-    /// refreshing the entry's LRU recency on a hit.
+    /// moving an old-generation entry back to the young one on a hit.
     pub(crate) fn get(&mut self, g: usize, key: &[u8]) -> Option<Vec<Vec<f64>>> {
-        let now = self.touch();
-        match self.groups[g].get_mut(key) {
-            Some(entry) => {
-                entry.last_used = now;
+        if let Some(predictions) = self.young[g].get(key) {
+            self.hits += 1;
+            return Some(predictions.clone());
+        }
+        match self.old[g].remove_entry(key) {
+            Some((key, predictions)) => {
                 self.hits += 1;
-                Some(entry.predictions.clone())
+                self.insert(g, key, predictions.clone());
+                Some(predictions)
             }
             None => {
                 self.misses += 1;
@@ -95,17 +91,26 @@ impl ProbeMemo {
         }
     }
 
-    /// Memoizes a probe answer, evicting least-recently-used entries
-    /// (across all groups) past the capacity bound.
+    /// Memoizes a probe answer, turning the generations over first when
+    /// the young ones are full.
     pub(crate) fn insert(&mut self, g: usize, key: Vec<u8>, predictions: Vec<Vec<f64>>) {
-        let now = self.touch();
-        self.groups[g].insert(key, MemoEntry { predictions, last_used: now });
-        self.evict_to_capacity();
+        // Each generation holds half the capacity; a capacity of one keeps
+        // no old generation.
+        if self.young_len >= (self.capacity / 2).max(1) {
+            for (young, old) in self.young.iter_mut().zip(&mut self.old) {
+                *old = if self.capacity > 1 { std::mem::take(young) } else { HashMap::new() };
+                young.clear();
+            }
+            self.young_len = 0;
+        }
+        if self.young[g].insert(key, predictions).is_none() {
+            self.young_len += 1;
+        }
     }
 
     /// Total memoized answers across all groups.
     pub(crate) fn len(&self) -> usize {
-        self.groups.iter().map(HashMap::len).sum()
+        self.young_len + self.old.iter().map(HashMap::len).sum::<usize>()
     }
 
     /// Hit/miss counters since construction. The fused scorer consults
@@ -113,24 +118,6 @@ impl ProbeMemo {
     /// oracle questions saved/asked — not per-shard lookups.
     pub(crate) fn stats(&self) -> MemoStats {
         MemoStats { hits: self.hits, misses: self.misses }
-    }
-
-    fn evict_to_capacity(&mut self) {
-        while self.len() > self.capacity {
-            let Some((g, key)) = self
-                .groups
-                .iter()
-                .enumerate()
-                .flat_map(|(g, map)| {
-                    map.iter().map(move |(key, entry)| (g, key, entry.last_used))
-                })
-                .min_by_key(|&(_, _, last_used)| last_used)
-                .map(|(g, key, _)| (g, key.clone()))
-            else {
-                return;
-            };
-            self.groups[g].remove(&key);
-        }
     }
 }
 
@@ -552,9 +539,9 @@ mod tests {
         let mut memo = ProbeMemo::new(1, 2);
         memo.insert(0, vec![0], answer(0.0));
         memo.insert(0, vec![1], answer(1.0));
-        // Touch key 0 so key 1 becomes the LRU entry...
+        // Touch key 0 so it moves back to the young generation...
         assert_eq!(memo.get(0, &[0]), Some(answer(0.0)));
-        // ...and inserting key 2 must evict key 1, not 0.
+        // ...and inserting key 2 must drop key 1 with the old one, not 0.
         memo.insert(0, vec![2], answer(2.0));
         assert_eq!(memo.len(), 2);
         assert!(memo.get(0, &[0]).is_some(), "recently used survives");
@@ -564,9 +551,9 @@ mod tests {
 
     #[test]
     fn memo_bound_spans_all_groups() {
-        // The capacity bounds the *total* across groups (the old
-        // wholesale reset counted the same way), and eviction picks the
-        // globally least-recently-used entry, whichever group holds it.
+        // The capacity bounds the *total* across groups, and the
+        // generations turn over for all groups at once: the oldest entry
+        // goes, whichever group holds it.
         let mut memo = ProbeMemo::new(2, 2);
         memo.insert(0, vec![0], answer(0.0));
         memo.insert(1, vec![1], answer(1.0));
@@ -585,6 +572,21 @@ mod tests {
         assert!(memo.get(0, &[9]).is_some());
         assert!(memo.get(0, &[8]).is_none());
         assert_eq!(memo.stats(), MemoStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn memo_stays_bounded_and_keeps_answers_in_use() {
+        for capacity in [1, 3, 64] {
+            let mut memo = ProbeMemo::new(2, capacity);
+            memo.insert(0, vec![0], answer(0.0));
+            for i in 1..10 * capacity as u32 {
+                memo.insert((i % 2) as usize, i.to_le_bytes().to_vec(), answer(f64::from(i)));
+                assert!(memo.len() <= capacity, "{} entries past {capacity}", memo.len());
+                if capacity > 1 {
+                    assert_eq!(memo.get(0, &[0]), Some(answer(0.0)), "an answer in use survives");
+                }
+            }
+        }
     }
 
     #[test]

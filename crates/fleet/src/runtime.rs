@@ -35,7 +35,7 @@
 //! group are deduplicated (two idle Orange Pis ask the oracle the exact
 //! same question), answered by one
 //! [`ThroughputOracle::predict_grouped`] call per oracle, and memoized
-//! across events in an LRU-bounded probe memo. Fused and serial scoring
+//! across events in a bounded probe memo. Fused and serial scoring
 //! make bit-identical decisions (tested); fused is the faster execution
 //! strategy at high shard counts (benchmarked in `fleet_hetero`).
 //!
@@ -321,7 +321,7 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     /// the identical question) *and* across events (a probe's fingerprint
     /// fully determines the oracle's answer, so a shard whose state has
     /// not changed since the same model last arrived is answered from the
-    /// LRU probe memo) — and the remaining unique questions answered by
+    /// probe memo) — and the remaining unique questions answered by
     /// one [`ThroughputOracle::predict_grouped`] call per oracle.
     /// Otherwise each shard is scored by its own `predict_batch` call.
     /// Both paths produce bit-identical scores, at any

