@@ -1,6 +1,8 @@
 //! The simulated board a group of serving sessions shares: one event
 //! engine, the per-model ideal rates measured on it, and a bounded memo
-//! of the engine's throughput reports.
+//! of the engine's throughput reports. The board also carries the
+//! analytical estimate of the same platform, which scores migration
+//! decisions for mappers that bring no estimator of their own.
 //!
 //! [`EventEngine::evaluate`] is a pure function of the platform, the
 //! engine's window and contention parameters, the workload's models in
@@ -21,7 +23,7 @@
 
 use rankmap_models::ModelId;
 use rankmap_platform::Platform;
-use rankmap_sim::{EventEngine, Mapping, ThroughputReport, Workload};
+use rankmap_sim::{AnalyticalEngine, EventEngine, Mapping, ThroughputReport, Workload};
 use rankmap_telemetry::MemoStats;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -39,6 +41,7 @@ pub const REPORT_MEMO_BOUND: usize = 4_096;
 /// it is `Send + Sync`.
 pub struct SharedBoard<'p> {
     engine: EventEngine<'p>,
+    estimate: AnalyticalEngine<'p>,
     ideals: HashMap<ModelId, f64>,
     memo: ReportMemo,
 }
@@ -47,7 +50,8 @@ impl<'p> SharedBoard<'p> {
     /// A board simulated by `engine`, with `ideals` measured on it (one
     /// entry per model that may arrive) and an empty report memo.
     pub(crate) fn new(engine: EventEngine<'p>, ideals: HashMap<ModelId, f64>) -> Self {
-        Self { engine, ideals, memo: ReportMemo::default() }
+        let estimate = AnalyticalEngine::new(engine.platform());
+        Self { engine, estimate, ideals, memo: ReportMemo::default() }
     }
 
     /// The platform the board simulates.
@@ -66,6 +70,13 @@ impl<'p> SharedBoard<'p> {
     /// the reports themselves never do.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
+    }
+
+    /// The analytical contention model's per-DNN throughput for `mapping`:
+    /// a closed-form estimate of what the board would measure, without
+    /// simulating.
+    pub(crate) fn estimate(&self, workload: &Workload, mapping: &Mapping) -> Vec<f64> {
+        self.estimate.evaluate(workload, mapping).per_dnn
     }
 
     /// [`EventEngine::evaluate`], answered from the memo when this board

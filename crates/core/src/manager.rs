@@ -208,6 +208,11 @@ impl<'p, O: ThroughputOracle> RankMapManager<'p, O> {
         self.platform
     }
 
+    /// The throughput oracle the search consults.
+    pub fn oracle(&self) -> &'p O {
+        self.oracle
+    }
+
     /// Measures per-DNN ideal rates (isolated on the GPU, or the fastest
     /// component when no GPU exists), memoized across `map` calls.
     pub fn ideal_rates(&self, workload: &Workload) -> Vec<f64> {

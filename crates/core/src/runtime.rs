@@ -15,7 +15,12 @@
 //!   plus the estimator's compiled-stem rebuild (see
 //!   [`rankmap_sim::MigrationModel`]), so the incumbent mapping is kept
 //!   whenever the candidate's predicted gain does not pay for the move
-//!   within the time left until the next event. The gain is integrated
+//!   within the time left until the next event. Both sides are scored by
+//!   an estimator, never on the board: a device cannot measure a mapping
+//!   it has not deployed. The mapper's own estimator answers
+//!   ([`WorkloadMapper::predict`]; RankMap's throughput oracle), or the
+//!   board's analytical estimate for mappers without one. Only the
+//!   adopted mapping is simulated. The gain is integrated
 //!   under a [`GainObjective`]: the default weighs each DNN's *potential*
 //!   by its priority (the paper's reward), the legacy raw-average
 //!   objective stays available for A/B comparison.
@@ -157,6 +162,14 @@ pub trait WorkloadMapper {
     fn priorities(&self, _workload: &Workload) -> Option<Vec<f64>> {
         None
     }
+
+    /// The mapper's own estimate of each DNN's throughput under
+    /// `mapping`, or `None` for mappers without an estimator (the session
+    /// then uses its board's analytical estimate). The migration-aware
+    /// remap decision scores the incumbent and the candidate with it.
+    fn predict(&self, _workload: &Workload, _mapping: &Mapping) -> Option<Vec<f64>> {
+        None
+    }
 }
 
 /// RankMap as a [`WorkloadMapper`] with a mutable priority mode.
@@ -234,6 +247,10 @@ impl<O: ThroughputOracle> WorkloadMapper for RankMapMapper<'_, O> {
 
     fn priorities(&self, workload: &Workload) -> Option<Vec<f64>> {
         Some(self.effective_mode(workload).vector(workload))
+    }
+
+    fn predict(&self, workload: &Workload, mapping: &Mapping) -> Option<Vec<f64>> {
+        Some(self.manager.oracle().predict(workload, mapping))
     }
 }
 
@@ -672,7 +689,7 @@ impl<'p> RuntimeSession<'p> {
             .map(|(id, _)| self.placements.get(id).cloned())
             .collect();
         let candidate = mapper.remap_incremental(&workload, &incumbent);
-        let (mapping, mut stall, decided_report) =
+        let (mapping, mut stall) =
             self.decide(&workload, &incumbent, candidate, window_hint, mapper);
         // A carried stall originates from a remap/migration in the
         // previous (too-short) segment — its stall point must still be
@@ -687,11 +704,8 @@ impl<'p> RuntimeSession<'p> {
         for (d, (id, _)) in self.instances.iter().enumerate() {
             self.placements.insert(*id, mapping.assignment(d).to_vec());
         }
-        // Reuse the decision's simulation of the adopted mapping when it
-        // ran one — the event engine is the expensive part of the event
-        // path (and every simulation goes through the board's memo).
-        let report =
-            decided_report.unwrap_or_else(|| self.board.evaluate(&workload, &mapping));
+        // The board runs only the adopted mapping, through its memo.
+        let report = self.board.evaluate(&workload, &mapping);
         // A throttled board serves `derate ×` the nominal rates; at 1.0
         // the multiplication is exact and the timeline is bit-identical
         // to the pre-derate code path.
@@ -800,10 +814,10 @@ impl<'p> RuntimeSession<'p> {
     /// The migration-aware remap decision: keep the incumbent mapping when
     /// the candidate's predicted gain does not pay for the stall its
     /// weight moves and stem rebuilds cost within the expected residency
-    /// window. Returns the adopted mapping, the stall (seconds) it
-    /// charges, and — when the decision had to simulate — the adopted
-    /// mapping's board report, so the caller does not re-run the event
-    /// engine.
+    /// window. Both sides are scored by the mapper's estimator, or the
+    /// board's analytical estimate when it has none; nothing is simulated
+    /// here. Returns the adopted mapping and the stall (seconds) it
+    /// charges.
     fn decide(
         &self,
         workload: &Workload,
@@ -811,20 +825,20 @@ impl<'p> RuntimeSession<'p> {
         candidate: Mapping,
         window: f64,
         mapper: &dyn WorkloadMapper,
-    ) -> (Mapping, f64, Option<rankmap_sim::ThroughputReport>) {
+    ) -> (Mapping, f64) {
         let cost = self.migration.cost(workload, incumbent, &candidate);
         if cost.is_free() {
-            return (candidate, 0.0, None);
+            return (candidate, 0.0);
         }
         if !self.migration_aware {
             // Oblivious mode: adopt unconditionally, still pay the stall.
-            return (candidate, cost.stall_seconds, None);
+            return (candidate, cost.stall_seconds);
         }
         let full_incumbent: Option<Vec<Vec<ComponentId>>> =
             incumbent.iter().cloned().collect::<Option<Vec<_>>>();
         let Some(per_dnn) = full_incumbent else {
             // A fresh arrival forces a remap; survivors' moves still stall.
-            return (candidate, cost.stall_seconds, None);
+            return (candidate, cost.stall_seconds);
         };
         let incumbent_mapping = Mapping::new(per_dnn);
         // The integration clips the stall to the window (a longer stall
@@ -834,14 +848,15 @@ impl<'p> RuntimeSession<'p> {
         let weights = priorities_or_uniform(mapper, workload);
         // Integrated gain over the window: switching trades `blocked`
         // seconds of silence for the candidate's (hopefully higher) score.
-        let inc_report = self.board.evaluate(workload, &incumbent_mapping);
-        let cand_report = self.board.evaluate(workload, &candidate);
-        let inc_score = self.gain_score(workload, &inc_report.per_dnn, &weights);
-        let cand_score = self.gain_score(workload, &cand_report.per_dnn, &weights);
+        let predict = |mapping: &Mapping| {
+            mapper.predict(workload, mapping).unwrap_or_else(|| self.board.estimate(workload, mapping))
+        };
+        let inc_score = self.gain_score(workload, &predict(&incumbent_mapping), &weights);
+        let cand_score = self.gain_score(workload, &predict(&candidate), &weights);
         if cand_score * (window - blocked) > inc_score * window {
-            (candidate, cost.stall_seconds, Some(cand_report))
+            (candidate, cost.stall_seconds)
         } else {
-            (incumbent_mapping, 0.0, Some(inc_report))
+            (incumbent_mapping, 0.0)
         }
     }
 
@@ -985,6 +1000,7 @@ mod tests {
     use super::*;
     use crate::manager::ManagerConfig;
     use crate::oracle::AnalyticalOracle;
+    use rankmap_sim::AnalyticalEngine;
 
     struct GpuOnly;
 
@@ -1237,6 +1253,151 @@ mod tests {
         );
     }
 
+    /// A mapper that proposes scripted mappings in turn (the last one
+    /// repeats) and predicts throughput from a table that need not agree
+    /// with the board.
+    struct Forecaster {
+        plan: Vec<Mapping>,
+        calls: usize,
+        forecast: Vec<(Mapping, Vec<f64>)>,
+    }
+
+    impl WorkloadMapper for Forecaster {
+        fn name(&self) -> String {
+            "forecaster".into()
+        }
+        fn remap(&mut self, _workload: &Workload) -> Mapping {
+            let m = self.plan[self.calls.min(self.plan.len() - 1)].clone();
+            self.calls += 1;
+            m
+        }
+        fn predict(&self, _workload: &Workload, mapping: &Mapping) -> Option<Vec<f64>> {
+            self.forecast.iter().find(|(m, _)| m == mapping).map(|(_, thr)| thr.clone())
+        }
+    }
+
+    #[test]
+    fn an_estimator_that_disagrees_with_the_board_still_rejects_unpaying_flips() {
+        // The flipper of `migration_awareness_rejects_unpaying_flips`, now
+        // with an estimator that is far off the board (100× its rates) but
+        // symmetric: a flip is still all cost and no predicted gain.
+        let p = Platform::dual_cpu();
+        let w = Workload::from_ids([ModelId::AlexNet]);
+        let on = |c: usize| Mapping::uniform(&w, ComponentId::new(c));
+        let board = EventEngine::quick(&p).evaluate(&w, &on(0)).per_dnn[0];
+        let mut mapper = Forecaster {
+            plan: (0..8).map(|k| on(k % 2)).collect(),
+            calls: 0,
+            forecast: vec![(on(0), vec![100.0 * board]), (on(1), vec![100.0 * board])],
+        };
+        let events = vec![
+            DynamicEvent::arrive(0.0, ModelId::AlexNet),
+            DynamicEvent::SetPriorities { at: 100.0, mode: PriorityMode::Dynamic },
+            DynamicEvent::SetPriorities { at: 200.0, mode: PriorityMode::Dynamic },
+        ];
+        let tl = DynamicRuntime::new(&p, 50.0).run(&events, &mut mapper, 300.0);
+        assert!(mapper.calls >= 3, "every event asked the mapper");
+        assert!(
+            tl.iter().skip(1).all(|pt| pt.migration_stall == 0.0),
+            "a flip the estimator scores even must not be adopted"
+        );
+    }
+
+    #[test]
+    fn the_decision_follows_the_estimator_both_ways() {
+        // AlexNet alone on the Orange Pi: the board runs it faster on the
+        // GPU than on the little cluster. An estimator that claims the
+        // opposite must win the decision both ways: adopt the move to the
+        // little cluster, and refuse the move to the GPU.
+        let p = Platform::orange_pi_5();
+        let w = Workload::from_ids([ModelId::AlexNet]);
+        let (gpu, little) = (
+            Mapping::uniform(&w, ComponentId::new(0)),
+            Mapping::uniform(&w, ComponentId::new(2)),
+        );
+        let engine = EventEngine::quick(&p);
+        assert!(
+            engine.evaluate(&w, &gpu).average() > engine.evaluate(&w, &little).average(),
+            "the board must favour the GPU for this check to mean anything"
+        );
+        let inverted = vec![(gpu.clone(), vec![1.0]), (little.clone(), vec![1_000.0])];
+        let t1 = 1.0;
+        let events = vec![
+            DynamicEvent::arrive(0.0, ModelId::AlexNet),
+            DynamicEvent::SetPriorities { at: t1, mode: PriorityMode::Dynamic },
+        ];
+        let moved_at_t1 = |from: &Mapping, to: &Mapping, forecast: Vec<(Mapping, Vec<f64>)>| {
+            let mut mapper =
+                Forecaster { plan: vec![from.clone(), to.clone()], calls: 0, forecast };
+            let tl = DynamicRuntime::new(&p, 1_000.0).run(&events, &mut mapper, 1_000.0);
+            tl.iter().any(|pt| pt.migration_stall > 0.0 && (pt.time - t1).abs() < 1e-9)
+        };
+        assert!(moved_at_t1(&gpu, &little, inverted.clone()), "adopts what the estimator favours");
+        assert!(!moved_at_t1(&little, &gpu, inverted), "keeps what the estimator favours");
+        // Without a forecast the board's analytical estimate decides, and
+        // it agrees with the board: the same two scripts go the other way.
+        assert!(!moved_at_t1(&gpu, &little, Vec::new()));
+        assert!(moved_at_t1(&little, &gpu, Vec::new()));
+    }
+
+    #[test]
+    fn a_departure_costs_at_most_one_board_simulation() {
+        // Three DNNs on the GPU; when one departs, the mapper proposes
+        // moving the survivors to the big cluster, so the paid migration
+        // decision runs. It is scored by estimators: only the adopted
+        // mapping may reach the board (one memo miss), whichever way the
+        // decision goes.
+        let p = Platform::orange_pi_5();
+        let rt = DynamicRuntime::new(&p, 50.0);
+        let ideals = ideal_rates(&p, &[ModelId::AlexNet, ModelId::ResNet50, ModelId::MobileNet]);
+        let arrive = [
+            DynamicEvent::arrive(0.0, ModelId::AlexNet),
+            DynamicEvent::arrive(0.0, ModelId::ResNet50),
+            DynamicEvent::arrive(0.0, ModelId::MobileNet),
+        ];
+        let all = Workload::from_ids([ModelId::AlexNet, ModelId::ResNet50, ModelId::MobileNet]);
+        let survivors = Workload::from_ids([ModelId::ResNet50, ModelId::MobileNet]);
+        let (kept, moved) = (
+            Mapping::uniform(&survivors, ComponentId::new(0)),
+            Mapping::uniform(&survivors, ComponentId::new(1)),
+        );
+        let favour_move = vec![(kept, vec![1.0, 1.0]), (moved.clone(), vec![1e3, 1e3])];
+        let mut adopted = Vec::new();
+        for (forecast, window) in
+            [(favour_move.clone(), 1_000.0), (Vec::new(), 1_000.0), (favour_move, 1e-3)]
+        {
+            let mut session = rt.session_with_ideals(ideals.clone());
+            let mut mapper = Forecaster {
+                plan: vec![Mapping::uniform(&all, ComponentId::new(0)), moved.clone()],
+                calls: 0,
+                forecast,
+            };
+            session.apply(&arrive, 10.0, &mut mapper);
+            let before = session.board().memo_stats();
+            session.advance_to(10.0);
+            session.apply(&[DynamicEvent::depart(10.0, InstanceId::new(0))], window, &mut mapper);
+            let after = session.board().memo_stats();
+            assert_eq!(after.misses - before.misses, 1, "window {window}");
+            assert_eq!(after.hits, before.hits);
+            adopted.push(session.placement(InstanceId::new(1)) == Some(moved.assignment(0)));
+        }
+        assert_eq!(adopted, [true, false, false], "the decision went both ways");
+        // The same through RankMap, whose oracle scores the decision.
+        let oracle = AnalyticalOracle::new(&p);
+        let mgr = RankMapManager::new(
+            &p,
+            &oracle,
+            ManagerConfig { mcts_iterations: 100, warm_iterations: 40, ..Default::default() },
+        );
+        let mut mapper = RankMapMapper::new(mgr, PriorityMode::Dynamic, "RankMapD");
+        let mut session = rt.session_with_ideals(ideals);
+        session.apply(&arrive, 10.0, &mut mapper);
+        let before = session.board().memo_stats();
+        session.advance_to(10.0);
+        session.apply(&[DynamicEvent::depart(10.0, InstanceId::new(1))], 100.0, &mut mapper);
+        assert!(session.board().memo_stats().misses - before.misses <= 1);
+    }
+
     #[test]
     fn stepwise_session_reproduces_run_exactly() {
         // The fleet contract: driving a session boundary-by-boundary must
@@ -1386,11 +1547,13 @@ mod tests {
         }
         let p = Platform::orange_pi_5();
         let w = Workload::from_ids([ModelId::AlexNet]);
-        let engine = EventEngine::quick(&p);
+        // The script has no estimator, so the decision scores both sides
+        // with the board's analytical estimate.
+        let estimate = AnalyticalEngine::new(&p);
         let little = Mapping::uniform(&w, ComponentId::new(2));
         let gpu = Mapping::uniform(&w, ComponentId::new(0));
-        let inc = engine.evaluate(&w, &little).average();
-        let cand = engine.evaluate(&w, &gpu).average();
+        let inc = estimate.evaluate(&w, &little).average();
+        let cand = estimate.evaluate(&w, &gpu).average();
         assert!(cand > inc, "the GPU must beat the little cluster for AlexNet");
         let weight_only = MigrationModel::new(&p)
             .with_stem_rebuild(0.0)
@@ -1453,7 +1616,8 @@ mod tests {
         }
         let p = Platform::orange_pi_5();
         let w = Workload::from_ids([ModelId::InceptionV4, ModelId::SqueezeNetV2]);
-        let engine = EventEngine::quick(&p);
+        // What the decision scores a script's mappings with.
+        let estimate = AnalyticalEngine::new(&p);
         // Incumbent: SqueezeNet owns the GPU, heavy Inception sits on the
         // big cluster — a raw-average throughput monster. Candidate: swap
         // them (Inception to the GPU, SqueezeNet to the little cluster) —
@@ -1467,8 +1631,8 @@ mod tests {
             vec![ComponentId::new(0); w.models()[0].unit_count()],
             vec![ComponentId::new(2); w.models()[1].unit_count()],
         ]);
-        let inc_r = engine.evaluate(&w, &incumbent);
-        let cand_r = engine.evaluate(&w, &candidate);
+        let inc_r = estimate.evaluate(&w, &incumbent);
+        let cand_r = estimate.evaluate(&w, &candidate);
         assert!(
             cand_r.average() < inc_r.average(),
             "the candidate must lose on raw average for this A/B to bite: {} vs {}",
