@@ -23,7 +23,9 @@
 
 use rankmap_models::ModelId;
 use rankmap_platform::Platform;
-use rankmap_sim::{AnalyticalEngine, EventEngine, Mapping, ThroughputReport, Workload};
+use rankmap_sim::{
+    AnalyticalEngine, EventEngine, GenerationalMap, Mapping, ThroughputReport, Workload,
+};
 use rankmap_telemetry::MemoStats;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -121,36 +123,28 @@ fn memo_key(workload: &Workload, mapping: &Mapping) -> Option<Box<[u16]>> {
 }
 
 /// A bounded, thread-safe memo of throughput reports with O(1) amortized
-/// eviction. Entries live in two generations: inserts go to the young
-/// one, and once it holds half of [`REPORT_MEMO_BOUND`] it becomes the
-/// old one, dropping the previous old generation whole. A hit in the old
-/// generation moves the entry back to the young one, so a report in use
+/// generational eviction ([`GenerationalMap`]), so a report in use
 /// survives. The mutex is held for a lookup or an insert, never during a
 /// simulation.
-#[derive(Default)]
 struct ReportMemo {
-    inner: Mutex<Generations>,
+    inner: Mutex<Reports>,
 }
 
-#[derive(Default)]
-struct Generations {
-    young: HashMap<Box<[u16]>, ThroughputReport>,
-    old: HashMap<Box<[u16]>, ThroughputReport>,
+struct Reports {
+    map: GenerationalMap<Box<[u16]>, ThroughputReport>,
     hits: u64,
     misses: u64,
 }
 
-impl Generations {
-    fn insert(&mut self, key: Box<[u16]>, report: ThroughputReport) {
-        if self.young.len() >= REPORT_MEMO_BOUND / 2 {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(key, report);
+impl Default for ReportMemo {
+    fn default() -> Self {
+        let map = GenerationalMap::new(REPORT_MEMO_BOUND);
+        Self { inner: Mutex::new(Reports { map, hits: 0, misses: 0 }) }
     }
 }
 
 impl ReportMemo {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Generations> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Reports> {
         // Every critical section leaves the maps consistent, so a panic
         // elsewhere cannot have poisoned anything that matters.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
@@ -158,26 +152,17 @@ impl ReportMemo {
 
     fn get(&self, key: &[u16]) -> Option<ThroughputReport> {
         let mut g = self.lock();
-        if let Some(report) = g.young.get(key) {
-            let report = report.clone();
+        let report = g.map.get(key);
+        if report.is_some() {
             g.hits += 1;
-            return Some(report);
+        } else {
+            g.misses += 1;
         }
-        match g.old.remove_entry(key) {
-            Some((key, report)) => {
-                g.hits += 1;
-                g.insert(key, report.clone());
-                Some(report)
-            }
-            None => {
-                g.misses += 1;
-                None
-            }
-        }
+        report
     }
 
     fn insert(&self, key: Box<[u16]>, report: ThroughputReport) {
-        self.lock().insert(key, report);
+        self.lock().map.insert(key, report);
     }
 
     fn stats(&self) -> MemoStats {
@@ -187,8 +172,7 @@ impl ReportMemo {
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        let g = self.lock();
-        g.young.len() + g.old.len()
+        self.lock().map.len()
     }
 }
 

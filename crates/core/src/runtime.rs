@@ -849,7 +849,9 @@ impl<'p> RuntimeSession<'p> {
         // Integrated gain over the window: switching trades `blocked`
         // seconds of silence for the candidate's (hopefully higher) score.
         let predict = |mapping: &Mapping| {
-            mapper.predict(workload, mapping).unwrap_or_else(|| self.board.estimate(workload, mapping))
+            mapper
+                .predict(workload, mapping)
+                .unwrap_or_else(|| self.board.estimate(workload, mapping))
         };
         let inc_score = self.gain_score(workload, &predict(&incumbent_mapping), &weights);
         let cand_score = self.gain_score(workload, &predict(&candidate), &weights);

@@ -546,7 +546,7 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert!(memo.get(0, &[0]).is_some(), "recently used survives");
         assert!(memo.get(0, &[2]).is_some(), "new entry present");
-        assert!(memo.get(0, &[1]).is_none(), "LRU entry evicted");
+        assert!(memo.get(0, &[1]).is_none(), "the untouched entry was evicted");
     }
 
     #[test]
@@ -559,7 +559,7 @@ mod tests {
         memo.insert(1, vec![1], answer(1.0));
         memo.insert(1, vec![2], answer(2.0));
         assert_eq!(memo.len(), 2);
-        assert!(memo.get(0, &[0]).is_none(), "group 0's older entry was the global LRU");
+        assert!(memo.get(0, &[0]).is_none(), "group 0's entry was the oldest");
         assert!(memo.get(1, &[1]).is_some());
         assert!(memo.get(1, &[2]).is_some());
     }

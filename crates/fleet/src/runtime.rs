@@ -230,7 +230,7 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     }
 
     /// Hit/miss counters of the fused scorer's cross-event probe memo —
-    /// observability for tests and benches (the memo is LRU-bounded by
+    /// observability for tests and benches (the memo is bounded by
     /// [`FleetConfig::probe_memo_capacity`]; hits answer a probe without
     /// an oracle call and are bit-identical to recomputing it). Counters
     /// tally unique oracle questions per event: shards sharing a
@@ -656,7 +656,7 @@ mod tests {
 
     #[test]
     fn tiny_probe_memo_changes_no_decision() {
-        // The LRU bound is a memory knob, not a policy: a memo that can
+        // The bound is a memory knob, not a policy: a memo that can
         // hold a single answer (evicting on every insert) must produce
         // the exact outcome of the default bound — eviction only costs a
         // recomputation, because entries are pure.

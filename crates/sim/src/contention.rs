@@ -2,10 +2,10 @@
 //! inflating stage times for co-location effects.
 
 use crate::cost::CostModel;
+use crate::generational::GenerationalMap;
 use crate::workload::{Mapping, Workload};
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
-use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex};
 
@@ -382,45 +382,29 @@ pub const COMPILE_CACHE_BOUND: usize = 1_024;
 /// that stops `BoardOracle`/`AnalyticalOracle` re-pricing the workload on
 /// every query. Thread-safe; clones share nothing (each oracle owns one).
 ///
-/// At most [`COMPILE_CACHE_BOUND`] mixes are kept, in two generations:
-/// inserts go to the young one, and once it holds half the bound it
-/// becomes the old one, dropping the previous old generation whole. A
-/// hit in the old generation moves the entry back to the young one, so a
-/// mix in use stays priced. Costs are a pure function of the mix, so an
-/// eviction only costs a re-pricing. Lookups hash the model ids straight
-/// from the workload, without building a key.
+/// At most [`COMPILE_CACHE_BOUND`] mixes are kept, evicted generationally
+/// ([`GenerationalMap`]), so a mix in use stays priced. Costs are a pure
+/// function of the mix, so an eviction only costs a re-pricing. Lookups
+/// hash the model ids straight from the workload, without building a
+/// key.
 ///
 /// A cache binds to the first platform it prices for — mixing platforms
 /// in one cache would silently serve stale costs, so it panics instead.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CompileCache {
-    inner: Mutex<Generations>,
+    inner: Mutex<CostsMap>,
     bound_platform: std::sync::OnceLock<Platform>,
 }
 
-type CostsMap = HashMap<Box<[ModelId]>, Arc<WorkloadCosts>, BuildHasherDefault<IdHasher>>;
+type CostsMap =
+    GenerationalMap<Box<[ModelId]>, Arc<WorkloadCosts>, BuildHasherDefault<IdHasher>>;
 
-#[derive(Debug, Default)]
-struct Generations {
-    young: CostsMap,
-    old: CostsMap,
-}
-
-impl Generations {
-    fn insert(&mut self, key: Box<[ModelId]>, costs: Arc<WorkloadCosts>) {
-        if self.young.len() >= COMPILE_CACHE_BOUND / 2 {
-            self.old = std::mem::take(&mut self.young);
+impl Default for CompileCache {
+    fn default() -> Self {
+        Self {
+            inner: Mutex::new(GenerationalMap::new(COMPILE_CACHE_BOUND)),
+            bound_platform: std::sync::OnceLock::new(),
         }
-        self.young.insert(key, costs);
-    }
-
-    fn get(&mut self, key: &[ModelId]) -> Option<Arc<WorkloadCosts>> {
-        if let Some(costs) = self.young.get(key) {
-            return Some(Arc::clone(costs));
-        }
-        let (key, costs) = self.old.remove_entry(key)?;
-        self.insert(key, Arc::clone(&costs));
-        Some(costs)
     }
 }
 
@@ -497,14 +481,13 @@ impl CompileCache {
         costs
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Generations> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, CostsMap> {
         self.inner.lock().expect("compile cache poisoned")
     }
 
     /// Number of model mixes priced and still held.
     pub fn len(&self) -> usize {
-        let g = self.lock();
-        g.young.len() + g.old.len()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.

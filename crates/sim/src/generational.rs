@@ -1,0 +1,85 @@
+//! A bounded map with generational eviction, shared by the compile cache
+//! and the board's report memo.
+
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
+
+/// A map holding at most `bound` entries with O(1) amortized eviction.
+/// Entries live in two generations: inserts go to the young one, and once
+/// it holds half the bound it becomes the old one, dropping the previous
+/// old generation whole. A hit in the old generation moves the entry back
+/// to the young one, so an entry in use survives. Meant for memos of pure
+/// functions, where an eviction only costs a recomputation.
+#[derive(Debug, Clone)]
+pub struct GenerationalMap<K, V, S = RandomState> {
+    young: HashMap<K, V, S>,
+    old: HashMap<K, V, S>,
+    half: usize,
+}
+
+impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> GenerationalMap<K, V, S> {
+    /// An empty map holding at most `bound` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound < 2` (each generation holds half of it).
+    pub fn new(bound: usize) -> Self {
+        assert!(bound >= 2, "a generational map needs a bound of at least 2");
+        Self { young: HashMap::default(), old: HashMap::default(), half: bound / 2 }
+    }
+
+    /// The value under `key`, moving an old-generation entry back to the
+    /// young one.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some(value) = self.young.get(key) {
+            return Some(value.clone());
+        }
+        let (key, value) = self.old.remove_entry(key)?;
+        self.insert(key, value.clone());
+        Some(value)
+    }
+
+    /// Inserts into the young generation, turning the generations over
+    /// first when it is full.
+    pub fn insert(&mut self, key: K, value: V) {
+        if self.young.len() >= self.half {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key, value);
+    }
+
+    /// Entries held, both generations.
+    pub fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+
+    /// Whether the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stays_bounded_and_keeps_an_entry_in_use() {
+        let mut map: GenerationalMap<u32, u32> = GenerationalMap::new(8);
+        map.insert(0, 0);
+        for i in 1..100 {
+            map.insert(i, i);
+            assert!(map.len() <= 8);
+            if i % 3 == 0 {
+                assert_eq!(map.get(&0), Some(0), "an entry read every 3 inserts survives");
+            }
+        }
+        assert_eq!(map.get(&1), None, "an entry never read again is evicted");
+    }
+}

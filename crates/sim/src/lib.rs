@@ -45,6 +45,7 @@ pub mod analytical;
 pub mod contention;
 pub mod cost;
 pub mod event;
+pub mod generational;
 pub mod migration;
 pub mod report;
 pub mod workload;
@@ -55,6 +56,7 @@ pub use contention::{
 };
 pub use cost::CostModel;
 pub use event::{EventConfig, EventEngine};
+pub use generational::GenerationalMap;
 pub use migration::{MigrationCost, MigrationModel, STEM_REBUILD_PER_UNIT};
 pub use report::ThroughputReport;
 pub use workload::{Mapping, MappingError, StageSpec, Workload};
