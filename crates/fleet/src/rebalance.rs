@@ -20,6 +20,7 @@
 
 use crate::executor::{Disposition, FleetExecutor};
 use crate::load::RequestId;
+use crate::telemetry::stage;
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{priorities_or_uniform, DynamicEvent};
 use rankmap_sim::{Mapping, MigrationModel, Workload};
@@ -109,8 +110,10 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         // plus its stem rebuild, over *its own* transfer link, so
         // rebalancing cannot ping-pong instances at no modeled cost.
         let window = self.config.decision_window;
+        let timer = self.telemetry.stage(stage::REBALANCE_MIGRATE);
         self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)], window);
         let assigned = self.shards[dst].apply(t, &[DynamicEvent::arrive(t, victim_model)], window);
+        self.telemetry.finish(timer);
         let new_id = assigned[0];
         let victim_workload = Workload::from_ids([victim_model]);
         let transfer = MigrationModel::new(self.shards[dst].platform)

@@ -48,6 +48,9 @@ pub mod stage {
     pub const REMAP: &str = "remap";
     /// The rebalancer/overload-guard health question.
     pub const REBALANCE_SCAN: &str = "rebalance_scan";
+    /// A rebalance migration's two applies: the source's departure and
+    /// the destination's arrival (its probes have their own spans).
+    pub const REBALANCE_MIGRATE: &str = "rebalance_migrate";
     /// Shard-failure triage + evacuation.
     pub const EVACUATION: &str = "evacuation";
     /// Incremental index refile sweep.
@@ -72,6 +75,7 @@ fn entered_key(stage_name: &'static str) -> &'static str {
         stage::DEPART_APPLY => "fleet_stage_entered_total{stage=\"depart_apply\"}",
         stage::REMAP => "fleet_stage_entered_total{stage=\"remap\"}",
         stage::REBALANCE_SCAN => "fleet_stage_entered_total{stage=\"rebalance_scan\"}",
+        stage::REBALANCE_MIGRATE => "fleet_stage_entered_total{stage=\"rebalance_migrate\"}",
         stage::EVACUATION => "fleet_stage_entered_total{stage=\"evacuation\"}",
         stage::INDEX_REFILE => "fleet_stage_entered_total{stage=\"index_refile\"}",
         stage::SPECULATE => "fleet_stage_entered_total{stage=\"speculate\"}",
@@ -374,6 +378,7 @@ mod tests {
             stage::DEPART_APPLY,
             stage::REMAP,
             stage::REBALANCE_SCAN,
+            stage::REBALANCE_MIGRATE,
             stage::EVACUATION,
             stage::INDEX_REFILE,
             stage::SPECULATE,

@@ -25,6 +25,8 @@ use rankmap_fleet::{
 use rankmap_platform::Platform;
 
 const DEPART_APPLY_ENTERED: &str = "fleet_stage_entered_total{stage=\"depart_apply\"}";
+const REBALANCE_MIGRATE_ENTERED: &str =
+    "fleet_stage_entered_total{stage=\"rebalance_migrate\"}";
 
 fn config(parallelism: Parallelism, telemetry: TelemetrySpec) -> FleetConfig {
     FleetConfig {
@@ -99,6 +101,10 @@ proptest! {
                 let departs = snap.registry.counter(DEPART_APPLY_ENTERED);
                 let expected = if label.starts_with("lanes") { 0 } else { candidate.metrics.departed };
                 prop_assert_eq!(departs, expected, "{} seed {}", label, seed);
+                // Every rebalance migration's apply pair is one
+                // `rebalance_migrate` span, under every executor.
+                let migrations = snap.registry.counter(REBALANCE_MIGRATE_ENTERED);
+                prop_assert_eq!(migrations, candidate.metrics.migrations, "{} seed {}", label, seed);
                 if telemetry.wall_clock {
                     let timed = snap
                         .registry
@@ -134,6 +140,8 @@ fn snapshot_counters_agree_with_metrics_and_exports_replay_byte_stable() {
     assert_eq!(c("fleet_stage_entered_total{stage=\"apply\"}"), m.admitted);
     // ... and the departure span once per normal departure.
     assert_eq!(c(DEPART_APPLY_ENTERED), m.departed);
+    // ... and the migration span once per rebalance migration.
+    assert_eq!(c(REBALANCE_MIGRATE_ENTERED), m.migrations);
     // Wall timing stayed off: deterministic registry only.
     assert!(
         snap.registry

@@ -60,8 +60,11 @@ impl EventConfig {
 ///   chunk, which is what starves everyone on a saturated GPU;
 /// * adjacent stages are connected by **bounded queues**
 ///   ([`EventConfig::queue_capacity`]); a stage only accepts a frame when it
-///   holds an input and has reserved a downstream slot, so backpressure
-///   propagates like in the ARM-CL pipeline runtime;
+///   holds an input and has reserved a downstream slot, and the slot is
+///   released only when the next stage *takes* the frame (starts serving
+///   it), so frames in flight plus frames waiting at a stage input never
+///   exceed the capacity and backpressure propagates like in the ARM-CL
+///   pipeline runtime;
 /// * stage service times are the contention-inflated costs from
 ///   [`CompiledWorkload`]; cross-component hops pay the transfer delay.
 ///
@@ -155,10 +158,10 @@ impl<'p> EventEngine<'p> {
 /// kind`, so events pop by time, then in insertion order: chunk
 /// completions wait in one slot per component, frame arrivals in a heap.
 ///
-/// A single-DNN simulation also skips its steady state exactly (see
-/// [`Cycle`]): the loop is a deterministic integer-nanosecond state
-/// machine, so once its whole state recurs, the future repeats with the
-/// same period and whole periods can be counted instead of simulated.
+/// Every simulation also skips its steady state exactly (see [`Cycle`]):
+/// the loop is a deterministic integer-nanosecond state machine, so once
+/// its whole state recurs, the future repeats with the same period and
+/// whole periods can be counted instead of simulated.
 struct EventSim {
     horizon: u64,
     warmup: u64,
@@ -204,6 +207,8 @@ struct EventSim {
     seq: u64,
     /// Last stage id of each DNN, in DNN order.
     last_of: Vec<u32>,
+    /// DNN index of each stage.
+    dnn: Vec<u32>,
 }
 
 /// Key of an idle component's (absent) chunk completion.
@@ -250,8 +255,9 @@ impl EventSim {
             heap: BinaryHeap::new(),
             seq: 0,
             last_of: Vec::with_capacity(compiled.dnn_count()),
+            dnn: Vec::with_capacity(total),
         };
-        for stages in &compiled.stages {
+        for (d, stages) in compiled.stages.iter().enumerate() {
             for (k, s) in stages.iter().enumerate() {
                 // CPU stages are sliced by the scheduler quantum; GPU
                 // stages only yield at kernel boundaries.
@@ -263,6 +269,7 @@ impl EventSim {
                 let last = k + 1 == stages.len();
                 let transfer = s.transfer_out_seconds;
                 sim.comp.push(s.component.index() as u32);
+                sim.dnn.push(d as u32);
                 sim.first.push(k == 0);
                 sim.last.push(last);
                 sim.chunks.push(u32::try_from(n).unwrap_or(u32::MAX));
@@ -343,19 +350,24 @@ impl EventSim {
         }
         while let Some(s) = self.ring_pop(c) {
             self.queued[s] = false;
-            if self.progress[s] == 0 {
+            let fresh = self.progress[s] == 0;
+            if fresh {
                 // Start a fresh frame if inputs/space allow.
                 if !self.can_accept_frame(s) {
                     continue;
-                }
-                if !self.first[s] {
-                    self.avail[s] -= 1;
                 }
                 if !self.last[s] {
                     self.reserved[s] += 1;
                 }
             }
             self.running[c] = self.event_key(now + self.chunk_ns[s], s, EV_CHUNK_DONE);
+            if fresh && !self.first[s] {
+                // Taking the frame frees its slot in the upstream stage's
+                // queue; that stage may have been blocked on it.
+                self.avail[s] -= 1;
+                self.reserved[s - 1] -= 1;
+                self.wake(s - 1, now);
+            }
             return;
         }
     }
@@ -377,8 +389,7 @@ impl EventSim {
                 let key = self.event_key(t + self.transfer_ns[s], s + 1, EV_FRAME_ARRIVED);
                 self.heap.push(Reverse(key));
             } else {
-                self.avail[s + 1] += 1;
-                self.reserved[s] -= 1;
+                self.frame_arrived(s + 1);
                 self.wake(s + 1, t);
             }
         }
@@ -389,33 +400,34 @@ impl EventSim {
 
     #[inline(always)]
     fn on_frame_arrived(&mut self, t: u64, s: usize) {
-        self.avail[s] += 1;
-        self.reserved[s - 1] -= 1;
+        self.frame_arrived(s);
         self.wake(s, t);
-        // Upstream stage may have been blocked on the queue slot.
-        self.wake(s - 1, t);
     }
 
-    /// Runs to the horizon. Single-DNN workloads run the loop with the
-    /// steady-state skip; multi-DNN states almost never recur, so they
-    /// run it without the per-frame state sampling.
+    /// A frame joins stage `s`'s input queue. Its upstream slot stays
+    /// reserved until `s` takes the frame (see [`EventSim::dispatch`]).
+    #[inline(always)]
+    fn frame_arrived(&mut self, s: usize) {
+        self.avail[s] += 1;
+        #[cfg(test)]
+        tests::QUEUE_HIGH_WATER.with(|h| h.set(h.get().max(self.avail[s])));
+    }
+
+    /// Runs to the horizon, skipping the steady state once it recurs.
     fn run(self) -> ThroughputReport {
-        if self.last_of.len() == 1 {
-            self.run_loop::<true>()
-        } else {
-            self.run_loop::<false>()
-        }
+        let cycle = Cycle::new(self.last_of.len());
+        self.run_loop(Some(cycle))
     }
 
-    fn run_loop<const DETECT: bool>(mut self) -> ThroughputReport {
+    /// The event loop. With a [`Cycle`] it samples the state at DNN 0's
+    /// frame completions and skips whole periods once the state repeats;
+    /// without one (or once the skip is taken) it simulates every event.
+    fn run_loop(mut self, mut cycle: Option<Cycle>) -> ThroughputReport {
         let mut s = 0;
         for d in 0..self.last_of.len() {
             self.wake(s, 0);
             s = self.last_of[d] as usize + 1;
         }
-        // Frames that left the (single) DNN so far, warm-up included.
-        let mut frames = 0u64;
-        let mut cycle = DETECT.then(Cycle::default);
         loop {
             // The earliest pending event: the first chunk to finish, or
             // the first frame to arrive, whichever comes first.
@@ -438,10 +450,11 @@ impl EventSim {
             if low & 1 == EV_CHUNK_DONE {
                 self.on_chunk_done(t, s);
                 // A finished frame resets its stage's progress to 0.
-                if DETECT && self.last[s] && self.progress[s] == 0 {
+                if self.last[s] && self.progress[s] == 0 {
                     if let Some(c) = &mut cycle {
-                        frames += 1;
-                        if !self.sample(c, t, frames) {
+                        let d = self.dnn[s] as usize;
+                        c.frames[d] += 1;
+                        if d == 0 && !self.sample(c, t) {
                             cycle = None;
                         }
                     }
@@ -455,41 +468,44 @@ impl EventSim {
         )
     }
 
-    /// Records the state at a frame completion at `t` (the `frames`-th)
-    /// and, on an exact repeat, skips whole periods. Returns `false` once
-    /// the skip to the horizon is taken and there is nothing left to
-    /// detect.
-    fn sample(&mut self, c: &mut Cycle, t: u64, frames: u64) -> bool {
+    /// Records the state after a completion of DNN 0's frame at `t` and,
+    /// on an exact repeat, skips whole periods. Returns `false` once the
+    /// skip to the horizon is taken and there is nothing left to detect.
+    fn sample(&mut self, c: &mut Cycle, t: u64) -> bool {
         self.snapshot(t, &mut c.current, &mut c.keys);
         c.lam += 1;
         if c.current == c.tortoise {
             let period = t - c.t0;
-            let per_period = frames - c.frames0;
-            if t < self.warmup {
-                // Nothing before the warm-up boundary counts: land just
-                // short of it, then find the repeat again past it. The
-                // state repeats every `lam <= power` samples, so the
-                // tortoise (whose contents equal the state here) stays.
+            if t <= self.warmup {
+                // Nothing up to the warm-up boundary counts (and another
+                // DNN's completion may still be pending at `t` itself):
+                // land just short of it, then find the repeat again past
+                // it. The state repeats every `lam <= power` samples, so
+                // the tortoise (whose contents equal the state here)
+                // stays.
                 let k = (self.warmup - t) / period;
                 self.shift(k * period);
                 c.t0 = t + k * period;
-                c.frames0 = frames;
+                c.frames0.copy_from_slice(&c.frames);
                 c.lam = 0;
                 return true;
             }
             // Every completion from here on counts: jump every whole
-            // period that ends by the horizon, then simulate the tail.
+            // period that ends by the horizon, add each DNN's frames of
+            // those periods, then simulate the tail.
             let k = (self.horizon - t) / period;
             self.shift(k * period);
-            let last = self.last_of[0] as usize;
-            let skipped = u32::try_from(k * per_period).expect("frame count overflow");
-            self.done[last] += skipped;
+            for (d, &last) in self.last_of.iter().enumerate() {
+                let per_period = c.frames[d] - c.frames0[d];
+                let skipped = u32::try_from(k * per_period).expect("frame count overflow");
+                self.done[last as usize] += skipped;
+            }
             return false;
         }
         if c.lam >= c.power {
             std::mem::swap(&mut c.tortoise, &mut c.current);
             c.t0 = t;
-            c.frames0 = frames;
+            c.frames0.copy_from_slice(&c.frames);
             c.power = 2 * c.lam;
             c.lam = 0;
         }
@@ -548,22 +564,39 @@ impl EventSim {
 }
 
 /// Brent's cycle detection over [`EventSim`] snapshots taken at each
-/// frame completion of a single-DNN simulation. `lam` counts samples
-/// since the tortoise; the tortoise moves to the current snapshot when
-/// `lam` reaches `power` (at once on the first sample), and `power`
-/// doubles. A repeat is a period of `t - t0` nanoseconds in which
-/// `frames - frames0` frames complete.
-#[derive(Default)]
+/// frame completion of DNN 0. The snapshot holds the whole state, every
+/// DNN's included, so a repeat is exact whichever completions are sampled.
+/// `lam` counts samples since the tortoise; the tortoise moves to the
+/// current snapshot when `lam` reaches `power` (at once on the first
+/// sample), and `power` doubles. A repeat is a period of `t - t0`
+/// nanoseconds in which DNN `d` completes `frames[d] - frames0[d]` frames.
 struct Cycle {
     tortoise: Vec<u64>,
     current: Vec<u64>,
     /// Scratch for sorting the pending events.
     keys: Vec<u128>,
-    /// Time and frame count of the tortoise sample.
+    /// Frames each DNN has completed so far, warm-up included.
+    frames: Vec<u64>,
+    /// Time and per-DNN frame counts of the tortoise sample.
     t0: u64,
-    frames0: u64,
+    frames0: Vec<u64>,
     power: u64,
     lam: u64,
+}
+
+impl Cycle {
+    fn new(dnns: usize) -> Self {
+        Cycle {
+            tortoise: Vec::new(),
+            current: Vec::new(),
+            keys: Vec::new(),
+            frames: vec![0; dnns],
+            t0: 0,
+            frames0: vec![0; dnns],
+            power: 0,
+            lam: 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -574,24 +607,48 @@ mod tests {
     use rankmap_platform::ComponentId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
 
     thread_local! {
         /// Simulated nanoseconds the steady-state skip jumped over on
         /// this test's thread.
-        pub(super) static SKIPPED_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        pub(super) static SKIPPED_NS: Cell<u64> = const { Cell::new(0) };
+        /// The most frames ever waiting at one stage input on this test's
+        /// thread.
+        pub(super) static QUEUE_HIGH_WATER: Cell<u32> = const { Cell::new(0) };
     }
 
-    /// The loop's report, and how much of the window it skipped.
-    fn simulate<const DETECT: bool>(
+    /// The loop's report, and how much of the window it skipped: `run`'s
+    /// loop, or with `skip` off every event simulated.
+    fn simulate(
         p: &Platform,
         w: &Workload,
         m: &Mapping,
         cfg: EventConfig,
+        skip: bool,
     ) -> (ThroughputReport, u64) {
         let compiled = CompiledWorkload::compile(p, w, m, ContentionParams::default());
         SKIPPED_NS.with(|n| n.set(0));
-        let report = EventSim::new(&compiled, cfg).run_loop::<DETECT>();
-        (report, SKIPPED_NS.with(std::cell::Cell::get))
+        let sim = EventSim::new(&compiled, cfg);
+        let cycle = skip.then(|| Cycle::new(w.len()));
+        let report = sim.run_loop(cycle);
+        (report, SKIPPED_NS.with(Cell::get))
+    }
+
+    /// Asserts that `run` skips more than `min_share` of the window and
+    /// still reports the full loop's rates bit for bit.
+    fn assert_skips_exactly(p: &Platform, w: &Workload, m: &Mapping, min_share: f64) {
+        let ids: Vec<ModelId> = w.models().iter().map(|m| m.id()).collect();
+        for cfg in [EventConfig::quick(), EventConfig::default()] {
+            let (skipping, skipped) = simulate(p, w, m, cfg, true);
+            let (full, none) = simulate(p, w, m, cfg, false);
+            assert_eq!(none, 0);
+            let bits = |r: &ThroughputReport| r.per_dnn.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&skipping), bits(&full), "{ids:?}");
+            assert!(full.per_dnn.iter().all(|&x| x > 0.0), "{ids:?}: every DNN is served");
+            let share = skipped as f64 / to_ns(cfg.sim_seconds) as f64;
+            assert!(share > min_share, "{ids:?}: only {share:.3} of the window skipped");
+        }
     }
 
     #[test]
@@ -599,28 +656,24 @@ mod tests {
         let p = Platform::orange_pi_5();
         for (id, c) in [(ModelId::AlexNet, 0), (ModelId::ResNet50, 1), (ModelId::MobileNet, 2)] {
             let w = Workload::from_ids([id]);
-            let m = Mapping::uniform(&w, ComponentId::new(c));
-            for cfg in [EventConfig::quick(), EventConfig::default()] {
-                let (skipping, skipped) = simulate::<true>(&p, &w, &m, cfg);
-                let (full, none) = simulate::<false>(&p, &w, &m, cfg);
-                assert_eq!(none, 0);
-                assert_eq!(skipping.per_dnn[0].to_bits(), full.per_dnn[0].to_bits(), "{id:?}");
-                let share = skipped as f64 / to_ns(cfg.sim_seconds) as f64;
-                assert!(share > 0.8, "{id:?} on {c}: only {share:.3} of the window skipped");
-            }
+            assert_skips_exactly(&p, &w, &Mapping::uniform(&w, ComponentId::new(c)), 0.8);
         }
     }
 
     #[test]
-    fn multi_dnn_simulations_take_the_loop_without_the_skip() {
+    fn recurring_two_dnn_mix_skips_most_of_its_window_exactly() {
         let p = Platform::orange_pi_5();
-        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
-        let m = Mapping::uniform(&w, ComponentId::new(0));
-        let compiled = CompiledWorkload::compile(&p, &w, &m, ContentionParams::default());
-        SKIPPED_NS.with(|n| n.set(0));
-        let report = EventSim::new(&compiled, EventConfig::quick()).run();
-        assert_eq!(SKIPPED_NS.with(std::cell::Cell::get), 0);
-        assert_eq!(report, simulate::<false>(&p, &w, &m, EventConfig::quick()).0);
+        // Both on the big cores, then AlexNet split into a GPU head and a
+        // big-core tail next to EfficientNet-B1 on the GPU: the split's
+        // bounded queue lets the joint state recur too.
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::EfficientNetB0]);
+        assert_skips_exactly(&p, &w, &Mapping::uniform(&w, ComponentId::new(1)), 0.5);
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::EfficientNetB1]);
+        let units = w.models()[0].unit_count();
+        let mut alexnet = vec![ComponentId::new(0); units];
+        alexnet[units / 2..].fill(ComponentId::new(1));
+        let efficientnet = vec![ComponentId::new(0); w.models()[1].unit_count()];
+        assert_skips_exactly(&p, &w, &Mapping::new(vec![alexnet, efficientnet]), 0.5);
     }
 
     #[test]
@@ -725,18 +778,44 @@ mod tests {
         );
     }
 
+    /// The most frames that waited at one stage input while `eng`
+    /// simulated `m`.
+    fn queue_high_water(eng: &EventEngine<'_>, w: &Workload, m: &Mapping) -> u32 {
+        QUEUE_HIGH_WATER.with(|h| h.set(0));
+        let r = eng.evaluate(w, m);
+        assert!(r.per_dnn.iter().all(|x| x.is_finite()), "{r:?}");
+        QUEUE_HIGH_WATER.with(Cell::get)
+    }
+
     #[test]
     fn backpressure_limits_queues() {
-        // Indirect check: simulation terminates and produces finite rates
-        // even with a pathologically unbalanced pipeline.
+        // A pathologically unbalanced pipeline: VGG-16's first half on the
+        // GPU feeds its second half on the LITTLE cluster, and frames pile
+        // up in front of the slow tail until the GPU stage blocks on its
+        // slots.
         let p = Platform::orange_pi_5();
         let eng = EventEngine::quick(&p);
+        let capacity = EventConfig::quick().queue_capacity as u32;
         let w = Workload::from_ids([ModelId::Vgg16]);
         let mut assign = vec![ComponentId::new(0); 16];
-        assign[15] = ComponentId::new(2); // fc tail alone on LITTLE
-        let r = eng.evaluate(&w, &Mapping::new(vec![assign]));
-        assert!(r.per_dnn[0].is_finite());
-        assert!(r.per_dnn[0] > 0.0);
+        assign[8..].fill(ComponentId::new(2));
+        let high = queue_high_water(&eng, &w, &Mapping::new(vec![assign]));
+        assert_eq!(high, capacity, "the tail's queue fills, and no further");
+
+        // Random multi-DNN mappings on both presets.
+        let mut rng = StdRng::seed_from_u64(23);
+        for p in [Platform::orange_pi_5(), Platform::jetson_orin_nx()] {
+            let eng = EventEngine::quick(&p);
+            for n in 2..=4 {
+                let ids = [ModelId::ResNet50, ModelId::MobileNet, ModelId::Vgg16, ModelId::AlexNet];
+                let w = Workload::from_ids(ids[..n].iter().copied());
+                for _ in 0..5 {
+                    let m = Mapping::random(&w, p.component_count(), &mut rng);
+                    let high = queue_high_water(&eng, &w, &m);
+                    assert!(high <= capacity, "{high} frames queued at capacity {capacity}");
+                }
+            }
+        }
     }
 
     #[test]

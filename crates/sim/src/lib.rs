@@ -11,9 +11,12 @@
 //!   "oracle estimator" ablation.
 //! * [`EventEngine`] — a discrete-event simulator with non-preemptive
 //!   round-robin sharing per component, bounded inter-stage queues
-//!   (backpressure), and inter-component transfer delays. This is "the
-//!   board": it labels the estimator's training set and scores every final
-//!   mapping in the experiment harness.
+//!   (backpressure: a stage's downstream slot frees only when the next
+//!   stage takes the frame), and inter-component transfer delays. Once
+//!   its whole state recurs it counts the remaining whole periods instead
+//!   of simulating them, with exactly the rates the full run reports.
+//!   This is "the board": it labels the estimator's training set and
+//!   scores every final mapping in the experiment harness.
 //!
 //! The cost model is a roofline per layer (`max(compute, memory) +
 //! dispatch overhead`) with a utilization ramp that penalizes small kernels

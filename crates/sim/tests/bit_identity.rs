@@ -10,9 +10,9 @@
 //! fixed-point iteration, a compile that fuses stages with
 //! `Mapping::stages` and prices them with the roofline `CostModel`, and
 //! the nested-vector event loop the board simulator started as. The
-//! reference loop simulates every event to the horizon, so the
-//! single-DNN cases also pin the flat loop's steady-state skip (whole
-//! periods counted, not simulated) to exact rates.
+//! reference loop simulates every event to the horizon, so every case,
+//! single- and multi-DNN, also pins the flat loop's steady-state skip
+//! (whole periods counted, not simulated) to exact rates.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -190,7 +190,8 @@ fn reference_compile(
 
 /// Reference event simulation: the nested per-DNN vectors, per-component
 /// `VecDeque` round-robin queues and five-field heap events of the
-/// original board simulator.
+/// original board simulator, with the board's slot rule: a stage's
+/// downstream slot is released when the next stage takes the frame.
 fn reference_simulate(compiled: &CompiledWorkload, cfg: EventConfig) -> ThroughputReport {
     EventSim::new(compiled, cfg).run()
 }
@@ -308,13 +309,11 @@ impl<'c> EventSim<'c> {
         }
         while let Some((d, k)) = self.rr[comp].pop_front() {
             self.queued[d][k] = false;
-            if self.progress[d][k] == 0 {
+            let fresh = self.progress[d][k] == 0;
+            if fresh {
                 // Start a fresh frame if inputs/space allow.
                 if !self.can_accept_frame(d, k) {
                     continue;
-                }
-                if k > 0 {
-                    self.avail[d][k] -= 1;
                 }
                 if k < self.compiled.stages[d].len() - 1 {
                     self.reserved[d][k] += 1;
@@ -323,6 +322,12 @@ impl<'c> EventSim<'c> {
             self.busy[comp] = true;
             let (_, dur) = self.chunks[d][k];
             self.push_event(now + dur, d, k, EV_CHUNK_DONE);
+            if fresh && k > 0 {
+                // Taking the frame frees the upstream stage's queue slot.
+                self.avail[d][k] -= 1;
+                self.reserved[d][k - 1] -= 1;
+                self.wake(d, k - 1, now);
+            }
             return;
         }
     }
@@ -346,7 +351,6 @@ impl<'c> EventSim<'c> {
                     self.push_event(t + to_ns(transfer).max(1), d, k + 1, EV_FRAME_ARRIVED);
                 } else {
                     self.avail[d][k + 1] += 1;
-                    self.reserved[d][k] -= 1;
                     self.wake(d, k + 1, t);
                 }
             }
@@ -358,10 +362,7 @@ impl<'c> EventSim<'c> {
 
     fn on_frame_arrived(&mut self, t: u64, d: usize, k: usize) {
         self.avail[d][k] += 1;
-        self.reserved[d][k - 1] -= 1;
         self.wake(d, k, t);
-        // Upstream stage may have been blocked on the queue slot.
-        self.wake(d, k - 1, t);
     }
 
     fn run(mut self) -> ThroughputReport {
@@ -613,6 +614,38 @@ fn single_dnn_skip_keys_on_the_events_in_flight() {
             let want = reference_simulate(compiled, cfg);
             assert_eq!(got.per_dnn[0].to_bits(), want.per_dnn[0].to_bits(), "{got:?} vs {want:?}");
         }
+    }
+}
+
+/// Two single-stage whole-millisecond DNNs on two components both finish
+/// a frame on every millisecond, DNN 0 first. A warm-up that ends on the
+/// sample where the repeat is found leaves DNN 1's completion at that very
+/// nanosecond pending, and the reference does not count it: a skip taken
+/// there must count nothing, and find the repeat again past the boundary.
+#[test]
+fn skip_found_on_the_warm_up_boundary_counts_nothing_at_it() {
+    let stage = |component: usize| CompiledStage {
+        component: ComponentId::new(component),
+        base_seconds: 1e-3,
+        inflated_seconds: 1e-3,
+        working_set: 0.0,
+        transfer_out_seconds: 0.0,
+        kernel_count: 1,
+        preemptive: false,
+    };
+    let compiled =
+        CompiledWorkload { stages: vec![vec![stage(0)], vec![stage(1)]], component_count: 2 };
+    let platform = Platform::orange_pi_5();
+    for warmup_ms in 1..=8 {
+        let cfg = EventConfig {
+            sim_seconds: 1.0,
+            warmup_seconds: f64::from(warmup_ms) * 1e-3,
+            ..EventConfig::quick()
+        };
+        let got = EventEngine::new(&platform).with_config(cfg).run(&compiled);
+        let want = reference_simulate(&compiled, cfg);
+        let bits = |r: &ThroughputReport| r.per_dnn.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "warm-up {warmup_ms} ms: {got:?} vs {want:?}");
     }
 }
 
