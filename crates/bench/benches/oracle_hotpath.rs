@@ -13,12 +13,19 @@
 //! A `manager_plan_default` arm measures the public
 //! `RankMapManager::map` entry point end to end, and an
 //! `analytical_manager_map` arm runs the same entry point over the
-//! `AnalyticalOracle` (the contention solver the fleet scores with).
+//! `AnalyticalOracle` (the contention solver the fleet scores with). An
+//! `oracle/analytical_fresh_mixes` arm scores a batch of mappings of a mix
+//! the oracle has never seen on every call, so the cost of pricing new
+//! models shows next to the solves.
 //!
 //! Results land in `BENCH_oracle.json` at the workspace root (ns per call;
 //! divide by the 1,500-evaluation budget for ns/eval) so future PRs have a
 //! perf trajectory. The run also prints best-reward parity over 5 seeds:
 //! the batched search must stay within noise of the sequential one.
+//!
+//! `RANKMAP_BENCH_SMOKE=1` skips the sequential baseline and the parity
+//! check (both run the 5 s seed-faithful search), takes few samples and
+//! writes no JSON, so CI can keep this bench compiling *and running*.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
@@ -32,10 +39,17 @@ use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
 use rankmap_search::{DecisionProblem, Mcts, MctsConfig};
 use rankmap_sim::{Mapping, Workload};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 const BUDGET: usize = 1_500;
 const IDEAL: f64 = 25.0;
+/// Mappings scored per fresh mix in the `analytical_fresh_mixes` arm.
+const FRESH_MIX_MAPPINGS: usize = 8;
+
+fn smoke() -> bool {
+    std::env::var_os("RANKMAP_BENCH_SMOKE").is_some()
+}
 
 fn mix() -> Workload {
     Workload::from_ids([
@@ -227,8 +241,13 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     let w = mix();
 
     let mut group = c.benchmark_group("plan_1500");
-    group.sample_size(10);
-    group.bench_function("sequential_baseline", |b| b.iter(|| plan(&s, &w, None, 1)));
+    if smoke() {
+        group.sample_size(3);
+        group.measurement_time(std::time::Duration::from_millis(500));
+    } else {
+        group.sample_size(10);
+        group.bench_function("sequential_baseline", |b| b.iter(|| plan(&s, &w, None, 1)));
+    }
     for k in [1usize, 8, 32] {
         group.bench_function(&format!("batched_k{k}"), |b| {
             b.iter(|| plan(&s, &w, Some(k), 1))
@@ -259,6 +278,33 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     });
     group.finish();
 
+    // A mix the oracle has not seen on every call: the i-th call maps
+    // the i-th 4-DNN sequence over the zoo (distinct for 24^4 calls).
+    let mut group = c.benchmark_group("oracle");
+    if smoke() {
+        group.sample_size(3);
+        group.measurement_time(std::time::Duration::from_millis(500));
+    }
+    let all = ModelId::all();
+    let fresh = AnalyticalOracle::new(&s.platform);
+    let calls = Cell::new(0usize);
+    group.bench_function("analytical_fresh_mixes", |b| {
+        b.iter(|| {
+            let i = calls.get();
+            calls.set(i + 1);
+            let w = Workload::from_ids((0..4).map(|k| all[i / 24usize.pow(k) % 24]));
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(i as u64);
+            let mappings: Vec<Mapping> = (0..FRESH_MIX_MAPPINGS)
+                .map(|_| Mapping::random(&w, s.platform.component_count(), &mut rng))
+                .collect();
+            fresh.predict_batch(&w, &mappings)
+        })
+    });
+    group.finish();
+    if smoke() {
+        return;
+    }
+
     // Reward parity across seeds: the batched search must stay within
     // noise of the sequential trajectory.
     let mut seq = Vec::new();
@@ -277,13 +323,21 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
+fn config() -> Criterion {
+    let config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(8))
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json"));
+        .warm_up_time(std::time::Duration::from_millis(500));
+    if smoke() {
+        config
+    } else {
+        config.json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json"))
+    }
+}
+
+criterion_group! {
+    name = benches;
+    config = config();
     targets = bench_oracle_hotpath
 }
 criterion_main!(benches);

@@ -4,10 +4,9 @@ use rankmap_estimator::{CompiledStem, EmbeddingTable, Estimator, QTensorSpec, Vq
 use rankmap_models::ModelId;
 use rankmap_platform::Platform;
 use rankmap_sim::{
-    AnalyticalEngine, CompileCache, EventEngine, Mapping, Workload,
+    AnalyticalEngine, EventEngine, GenerationalMap, Mapping, PriceTable, Workload, WorkloadCosts,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Ideal-rate lookup used to convert potential throughput back to inf/s.
 pub type IdealFn = Box<dyn Fn(rankmap_models::ModelId) -> f64 + Send + Sync>;
@@ -32,7 +31,7 @@ pub trait ThroughputOracle: Send + Sync {
     /// Predicted throughputs for a whole batch of mappings — the search
     /// hot path. The default maps [`ThroughputOracle::predict`];
     /// implementations override it to amortize per-query work (stacked
-    /// estimator matmuls, cached workload compilation, thread-pool
+    /// estimator matmuls, shared model pricing, thread-pool
     /// fan-out).
     fn predict_batch(&self, workload: &Workload, mappings: &[Mapping]) -> Vec<Vec<f64>> {
         mappings.iter().map(|m| self.predict(workload, m)).collect()
@@ -55,19 +54,19 @@ pub trait ThroughputOracle: Send + Sync {
 }
 
 /// Shared fused-group implementation for the simulator-backed oracles:
-/// price every query's workload once (memoized), then fan the flattened
-/// `(query, mapping)` pairs across one parallel pass instead of one
-/// dispatch per query.
+/// look every query's models up in the price table once, then fan the
+/// flattened `(query, mapping)` pairs across one parallel pass instead of
+/// one dispatch per query.
 fn grouped_via_flat_pairs<E>(
     platform: &Platform,
-    cache: &CompileCache,
+    prices: &PriceTable,
     queries: &[(&Workload, &[Mapping])],
     evaluate: E,
 ) -> Vec<Vec<Vec<f64>>>
 where
-    E: Fn(&rankmap_sim::WorkloadCosts, &Workload, &Mapping) -> Vec<f64> + Sync,
+    E: Fn(&WorkloadCosts, &Workload, &Mapping) -> Vec<f64> + Sync,
 {
-    let costs: Vec<_> = queries.iter().map(|(w, _)| cache.costs(platform, w)).collect();
+    let costs: Vec<_> = queries.iter().map(|(w, _)| prices.costs(platform, w)).collect();
     let flat: Vec<(usize, &Mapping)> = queries
         .iter()
         .enumerate()
@@ -85,37 +84,37 @@ where
 
 /// Oracle backed by the analytical contention solver.
 ///
-/// Holds a [`CompileCache`] so repeated queries against the same workload
-/// skip the per-query roofline pricing pass.
+/// Holds a [`PriceTable`], so each model is priced once for the oracle's
+/// platform and no query walks the roofline.
 #[derive(Debug)]
 pub struct AnalyticalOracle<'p> {
     platform: &'p Platform,
     engine: AnalyticalEngine<'p>,
-    cache: CompileCache,
+    prices: PriceTable,
 }
 
 impl<'p> AnalyticalOracle<'p> {
     /// Creates the oracle over a platform.
     pub fn new(platform: &'p Platform) -> Self {
-        Self { platform, engine: AnalyticalEngine::new(platform), cache: CompileCache::new() }
+        Self { platform, engine: AnalyticalEngine::new(platform), prices: PriceTable::new() }
     }
 }
 
 impl ThroughputOracle for AnalyticalOracle<'_> {
     fn predict(&self, workload: &Workload, mapping: &Mapping) -> Vec<f64> {
-        let costs = self.cache.costs(self.platform, workload);
+        let costs = self.prices.costs(self.platform, workload);
         self.engine.evaluate_with(&costs, workload, mapping).per_dnn
     }
 
     fn predict_batch(&self, workload: &Workload, mappings: &[Mapping]) -> Vec<Vec<f64>> {
-        let costs = self.cache.costs(self.platform, workload);
+        let costs = self.prices.costs(self.platform, workload);
         rayon::iter::par_map_slice(mappings, &|m| {
             self.engine.evaluate_with(&costs, workload, m).per_dnn
         })
     }
 
     fn predict_grouped(&self, queries: &[(&Workload, &[Mapping])]) -> Vec<Vec<Vec<f64>>> {
-        grouped_via_flat_pairs(self.platform, &self.cache, queries, |costs, w, m| {
+        grouped_via_flat_pairs(self.platform, &self.prices, queries, |costs, w, m| {
             self.engine.evaluate_with(costs, w, m).per_dnn
         })
     }
@@ -127,42 +126,42 @@ impl ThroughputOracle for AnalyticalOracle<'_> {
 
 /// Oracle that runs the discrete-event simulator for every query — exact
 /// but orders of magnitude slower; this is what "evaluating on the board"
-/// costs the GA baseline. Workload pricing is still cached so only the
-/// event loop itself is paid per query.
+/// costs the GA baseline. Models are still priced once (a [`PriceTable`])
+/// so only the event loop itself is paid per query.
 #[derive(Debug)]
 pub struct BoardOracle<'p> {
     platform: &'p Platform,
     engine: EventEngine<'p>,
-    cache: CompileCache,
+    prices: PriceTable,
 }
 
 impl<'p> BoardOracle<'p> {
     /// Creates the oracle over a platform (quick simulation window).
     pub fn new(platform: &'p Platform) -> Self {
-        Self { platform, engine: EventEngine::quick(platform), cache: CompileCache::new() }
+        Self { platform, engine: EventEngine::quick(platform), prices: PriceTable::new() }
     }
 
     /// Uses a custom engine (e.g. longer windows).
     pub fn with_engine(platform: &'p Platform, engine: EventEngine<'p>) -> Self {
-        Self { platform, engine, cache: CompileCache::new() }
+        Self { platform, engine, prices: PriceTable::new() }
     }
 }
 
 impl ThroughputOracle for BoardOracle<'_> {
     fn predict(&self, workload: &Workload, mapping: &Mapping) -> Vec<f64> {
-        let costs = self.cache.costs(self.platform, workload);
+        let costs = self.prices.costs(self.platform, workload);
         self.engine.evaluate_with(&costs, workload, mapping).per_dnn
     }
 
     fn predict_batch(&self, workload: &Workload, mappings: &[Mapping]) -> Vec<Vec<f64>> {
-        let costs = self.cache.costs(self.platform, workload);
+        let costs = self.prices.costs(self.platform, workload);
         rayon::iter::par_map_slice(mappings, &|m| {
             self.engine.evaluate_with(&costs, workload, m).per_dnn
         })
     }
 
     fn predict_grouped(&self, queries: &[(&Workload, &[Mapping])]) -> Vec<Vec<Vec<f64>>> {
-        grouped_via_flat_pairs(self.platform, &self.cache, queries, |costs, w, m| {
+        grouped_via_flat_pairs(self.platform, &self.prices, queries, |costs, w, m| {
             self.engine.evaluate_with(costs, w, m).per_dnn
         })
     }
@@ -171,6 +170,14 @@ impl ThroughputOracle for BoardOracle<'_> {
         "board"
     }
 }
+
+/// Compiled stems a [`LearnedOracle`] keeps at most. One stem measured
+/// 283 KB of heap with the paper estimator and 119 KB with the quick one
+/// (mean over random 1–4-DNN mixes, 541 KB at most), so a full cache
+/// holds about 9 MB. Eviction is generational ([`GenerationalMap`]): a
+/// mix in use stays compiled, and an evicted one is compiled again, to
+/// the same stem.
+pub const STEM_CACHE_BOUND: usize = 32;
 
 /// Oracle backed by the trained VQ-VAE + multi-task estimator: the paper's
 /// configuration. Predicts potential throughput per slot and scales by the
@@ -187,9 +194,10 @@ pub struct LearnedOracle {
     embeddings: RwLock<EmbeddingTable>,
     estimator: Estimator,
     spec: QTensorSpec,
-    /// Per-workload compiled stems (see [`Estimator::compile_stem`]):
-    /// queries skip both `Q` assembly and the stem convolution.
-    stems: Mutex<HashMap<Vec<ModelId>, Arc<CompiledStem>>>,
+    /// Per-mix compiled stems (see [`Estimator::compile_stem`]), at most
+    /// [`STEM_CACHE_BOUND`]: queries skip both `Q` assembly and the stem
+    /// convolution.
+    stems: Mutex<GenerationalMap<Box<[ModelId]>, Arc<CompiledStem>>>,
     /// Ideal (isolated-on-GPU) rates per model id, resolved lazily.
     ideal_fn: IdealFn,
 }
@@ -208,7 +216,7 @@ impl LearnedOracle {
             embeddings: RwLock::new(embeddings),
             estimator,
             spec,
-            stems: Mutex::new(HashMap::new()),
+            stems: Mutex::new(GenerationalMap::new(STEM_CACHE_BOUND)),
             ideal_fn,
         }
     }
@@ -234,17 +242,25 @@ impl LearnedOracle {
         }
     }
 
-    /// The compiled stem for `workload`, built on first sight of the mix.
+    /// The compiled stem for `workload`, built on first sight of the mix
+    /// (or again after its eviction).
     fn compiled_stem(&self, workload: &Workload) -> Arc<CompiledStem> {
-        let key: Vec<ModelId> = workload.models().iter().map(|m| m.id()).collect();
-        let mut stems = self.stems.lock().expect("stem cache poisoned");
-        stems
-            .entry(key)
-            .or_insert_with(|| {
-                let table = self.embeddings.read().expect("embedding table poisoned");
-                Arc::new(self.estimator.compile_stem(&table, workload))
-            })
-            .clone()
+        let key: Box<[ModelId]> = workload.models().iter().map(|m| m.id()).collect();
+        if let Some(stem) = self.lock_stems().get(&key) {
+            return stem;
+        }
+        // Compiled outside the lock: a racing miss only compiles the same
+        // mix twice.
+        let stem = {
+            let table = self.embeddings.read().expect("embedding table poisoned");
+            Arc::new(self.estimator.compile_stem(&table, workload))
+        };
+        self.lock_stems().insert(key, Arc::clone(&stem));
+        stem
+    }
+
+    fn lock_stems(&self) -> MutexGuard<'_, GenerationalMap<Box<[ModelId]>, Arc<CompiledStem>>> {
+        self.stems.lock().expect("stem cache poisoned")
     }
 
     /// Converts per-slot potentials to per-DNN inf/s.
@@ -339,6 +355,34 @@ mod tests {
         let t = oracle.predict(&w, &m);
         assert_eq!(t.len(), 2);
         assert!(t.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn stem_cache_stays_bounded_and_recompiles_evicted_mixes_exactly() {
+        let vq = VqVae::new(VqVaeConfig::default(), 2);
+        let est = Estimator::new(EstimatorConfig::quick(), 2);
+        let oracle =
+            LearnedOracle::new(vq, EmbeddingTable::default(), est, Box::new(|_| 10.0));
+        let all = ModelId::all();
+        let first = Workload::from_ids([all[0], all[1]]);
+        let mappings: Vec<Mapping> =
+            (0..3).map(|c| Mapping::uniform(&first, ComponentId::new(c))).collect();
+        let bits = |preds: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            preds.iter().map(|p| p.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let before = bits(oracle.predict_batch(&first, &mappings));
+        for i in 0..2 * STEM_CACHE_BOUND + 1 {
+            let w = Workload::from_ids([all[i % 24], all[(i / 24 + 2) % 24]]);
+            oracle.predict(&w, &Mapping::uniform(&w, ComponentId::new(i % 3)));
+            assert!(oracle.lock_stems().len() <= STEM_CACHE_BOUND, "the cache must stay bounded");
+        }
+        let key: Box<[ModelId]> = [all[0], all[1]].into();
+        assert!(oracle.lock_stems().get(&key).is_none(), "the first mix was evicted");
+        assert_eq!(
+            bits(oracle.predict_batch(&first, &mappings)),
+            before,
+            "an evicted stem compiles again to the same predictions"
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Fixed-point contention solver with kernel-granularity fair sharing.
 
-use crate::contention::{CompiledWorkload, ContentionParams};
+use crate::contention::{ContentionParams, Direct, StagePrices, StageTable, WorkloadCosts};
 use crate::report::ThroughputReport;
 use crate::workload::{Mapping, Workload};
 use rankmap_platform::Platform;
+use std::cell::RefCell;
 
 /// Analytical multi-DNN throughput model.
 ///
@@ -31,6 +32,21 @@ pub struct AnalyticalEngine<'p> {
     iterations: usize,
 }
 
+/// A thread's reusable solver buffers (the compile table is the thread's
+/// [`StageTable`]): once warm, a query allocates only the rates it
+/// returns.
+#[derive(Default)]
+struct Scratch {
+    demands: Vec<f64>,
+    alloc: Vec<f64>,
+    unsat: Vec<usize>,
+    limit: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 impl<'p> AnalyticalEngine<'p> {
     /// Creates a solver with default contention parameters.
     pub fn new(platform: &'p Platform) -> Self {
@@ -50,40 +66,52 @@ impl<'p> AnalyticalEngine<'p> {
     ///
     /// Panics if the mapping is invalid for this workload/platform.
     pub fn evaluate(&self, workload: &Workload, mapping: &Mapping) -> ThroughputReport {
-        let compiled = CompiledWorkload::compile(self.platform, workload, mapping, self.params);
-        self.solve(&compiled)
+        self.compile_and_solve(&Direct::new(self.platform, workload), workload, mapping)
     }
 
     /// Evaluates a mapping against pre-priced workload costs (the hot-loop
     /// path: no per-query roofline walk). Produces exactly what
     /// [`AnalyticalEngine::evaluate`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mapping is invalid for this workload/platform.
     pub fn evaluate_with(
         &self,
-        costs: &crate::contention::WorkloadCosts,
+        costs: &WorkloadCosts,
         workload: &Workload,
         mapping: &Mapping,
     ) -> ThroughputReport {
-        self.solve(&costs.compile(workload, mapping, self.params))
+        self.compile_and_solve(costs, workload, mapping)
     }
 
-    /// Solves an already compiled workload.
-    ///
-    /// Everything that does not change between fixed-point iterations is
-    /// done once per query: the stages are flattened into one table grouped
-    /// by component, each carrying its DNN, inflated time and clamped
-    /// sharing weight, and every scratch buffer is allocated up front. The
-    /// iterations then only recompute demands and run the weighted max–min
-    /// allocation in place.
-    pub fn solve(&self, compiled: &CompiledWorkload) -> ThroughputReport {
-        let n = compiled.dnn_count();
-        let table = StageTable::new(compiled);
+    /// Compiles the mapping straight into this thread's flat stage table
+    /// (grouped by component, each row carrying its DNN, inflated time and
+    /// clamped sharing weight), then solves it. The fixed-point iterations
+    /// only recompute demands and run the weighted max–min allocation in
+    /// place.
+    fn compile_and_solve(
+        &self,
+        prices: &impl StagePrices,
+        workload: &Workload,
+        mapping: &Mapping,
+    ) -> ThroughputReport {
+        StageTable::with_local(|table| {
+            table.compile(prices, workload, mapping, self.params);
+            SCRATCH.with(|scratch| self.solve(table, &mut scratch.borrow_mut()))
+        })
+    }
+
+    /// The fixed point of a compiled table.
+    fn solve(&self, table: &StageTable, scratch: &mut Scratch) -> ThroughputReport {
+        let Scratch { demands, alloc, unsat, limit } = scratch;
+        let n = table.bounds.len();
         let total = table.dnn.len();
-        let mut demands = vec![0.0; total];
-        let mut alloc = vec![0.0; total];
-        let mut unsat = Vec::with_capacity(table.widest_group());
-        let mut limit = vec![f64::INFINITY; n];
+        demands.resize(total, 0.0);
+        alloc.resize(total, 0.0);
+        limit.resize(n, f64::INFINITY);
         // Start at the (inflated) isolated pipeline bound.
-        let bounds: Vec<f64> = (0..n).map(|d| compiled.pipeline_bound(d)).collect();
+        let bounds = &table.bounds;
         let mut x: Vec<f64> = bounds.clone();
         for _ in 0..self.iterations {
             limit.fill(f64::INFINITY);
@@ -97,7 +125,7 @@ impl<'p> AnalyticalEngine<'p> {
                     &table.weight[range.clone()],
                     1.0,
                     &mut alloc[range.clone()],
-                    &mut unsat,
+                    unsat,
                 );
                 for i in range {
                     let t = table.seconds[i];
@@ -119,59 +147,6 @@ impl<'p> AnalyticalEngine<'p> {
             }
         }
         ThroughputReport::new(x)
-    }
-}
-
-/// A compiled workload's stages flattened for the solver: struct-of-arrays
-/// entries grouped by component, in [`CompiledWorkload::stages_by_component`]
-/// order.
-struct StageTable {
-    /// Owning DNN of each stage.
-    dnn: Vec<usize>,
-    /// Inflated execution seconds of each stage.
-    seconds: Vec<f64>,
-    /// Sharing weight of each stage, already clamped to `1e-12`.
-    weight: Vec<f64>,
-    /// Component `c`'s stages are `groups[c]..groups[c + 1]`.
-    groups: Vec<usize>,
-}
-
-impl StageTable {
-    fn new(compiled: &CompiledWorkload) -> Self {
-        let mut groups = vec![0usize; compiled.component_count + 1];
-        for s in compiled.stages.iter().flatten() {
-            groups[s.component.index() + 1] += 1;
-        }
-        for c in 0..compiled.component_count {
-            groups[c + 1] += groups[c];
-        }
-        let total = groups[compiled.component_count];
-        let mut table = Self {
-            dnn: vec![0; total],
-            seconds: vec![0.0; total],
-            weight: vec![0.0; total],
-            groups,
-        };
-        let mut next = table.groups.clone();
-        for (d, dnn) in compiled.stages.iter().enumerate() {
-            for s in dnn {
-                let i = next[s.component.index()];
-                next[s.component.index()] += 1;
-                table.dnn[i] = d;
-                table.seconds[i] = s.inflated_seconds;
-                // Preemptive components (CPU clusters) share time equally
-                // per stage; non-preemptive queues (GPU) serve whole
-                // kernels round-robin, i.e. weight = mean kernel duration.
-                let w = if s.preemptive { 1.0 } else { s.mean_kernel_seconds() * 1e3 };
-                table.weight[i] = w.max(1e-12);
-            }
-        }
-        table
-    }
-
-    /// Number of stages on the most crowded component.
-    fn widest_group(&self) -> usize {
-        self.groups.windows(2).map(|g| g[1] - g[0]).max().unwrap_or(0)
     }
 }
 
@@ -243,6 +218,7 @@ fn fair_share_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contention::CompiledWorkload;
     use rankmap_models::ModelId;
     use rankmap_platform::ComponentId;
 
@@ -334,8 +310,7 @@ mod tests {
         for _ in 0..10 {
             let m = Mapping::random(&w, 3, &mut rng);
             let compiled = CompiledWorkload::compile(&p, &w, &m, ContentionParams::default());
-            let eng = AnalyticalEngine::new(&p);
-            let r = eng.solve(&compiled);
+            let r = AnalyticalEngine::new(&p).evaluate(&w, &m);
             for stages in compiled.stages_by_component() {
                 let util: f64 = stages
                     .iter()

@@ -1,13 +1,21 @@
 //! Shared contention model: compiling a mapped workload into stages and
 //! inflating stage times for co-location effects.
+//!
+//! Every compile runs through one function, `StageTable::compile`: it
+//! walks each DNN's same-component runs, prices them and inflates them
+//! into one flat table grouped by component. The analytical solver reads
+//! that table as it is; [`CompiledWorkload`], what the event engine runs,
+//! regroups it per DNN. Prices come either straight from the roofline
+//! [`CostModel`] (one-shot compiles) or from per-model tables priced once
+//! ([`WorkloadCosts`], shared per platform through a [`PriceTable`]).
 
 use crate::cost::CostModel;
-use crate::generational::GenerationalMap;
 use crate::workload::{Mapping, Workload};
-use rankmap_models::ModelId;
-use rankmap_platform::{ComponentId, Platform};
-use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex};
+use rankmap_models::{DnnModel, ModelId};
+use rankmap_platform::{ComponentId, ComponentKind, Platform};
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Tunables of the contention model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +75,7 @@ impl CompiledStage {
 }
 
 /// A workload+mapping compiled into per-DNN stage lists with inflated
-/// times. Both the analytical and event engines consume this.
+/// times: what the event engine runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWorkload {
     /// `stages[d]` is DNN `d`'s pipeline.
@@ -81,9 +89,9 @@ impl CompiledWorkload {
     /// the cache-sensitivity inflation described in the crate docs.
     ///
     /// One-shot path: prices only the stages the mapping actually uses.
-    /// Callers that evaluate many mappings of the *same* workload (every
-    /// oracle in the search loop) should build a [`WorkloadCosts`] table
-    /// once — or use a [`CompileCache`] — and call
+    /// Callers that evaluate many mappings of the *same* models (every
+    /// oracle in the search loop) should price them once, with a
+    /// [`PriceTable`] or [`WorkloadCosts::new`], and call
     /// [`WorkloadCosts::compile`] per mapping instead; the results are
     /// bit-identical (asserted in tests).
     ///
@@ -97,102 +105,7 @@ impl CompiledWorkload {
         mapping: &Mapping,
         params: ContentionParams,
     ) -> Self {
-        mapping
-            .validate(workload, platform.component_count())
-            .expect("mapping must be valid for this workload/platform");
-        let cost = CostModel::new(platform);
-        let mut stages: Vec<Vec<CompiledStage>> = Vec::with_capacity(workload.len());
-        for (d, model) in workload.models().iter().enumerate() {
-            let specs = mapping.stages(d);
-            let mut list = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
-                let base = cost.stage_seconds(model, spec.unit_range.clone(), spec.component);
-                let ws = cost.stage_working_set(model, spec.unit_range.clone());
-                let transfer = if i + 1 < specs.len() {
-                    let bytes =
-                        model.units()[spec.unit_range.end - 1].output_shape().bytes() as f64;
-                    cost.transfer_seconds(bytes, spec.component, specs[i + 1].component)
-                } else {
-                    0.0
-                };
-                let kernels: usize = model.units()[spec.unit_range.clone()]
-                    .iter()
-                    .map(|u| u.kernel_count())
-                    .sum();
-                let preemptive = !matches!(
-                    platform.component(spec.component).kind(),
-                    rankmap_platform::ComponentKind::Gpu | rankmap_platform::ComponentKind::Npu
-                );
-                list.push(CompiledStage {
-                    component: spec.component,
-                    base_seconds: base,
-                    inflated_seconds: base, // filled in below
-                    working_set: ws,
-                    transfer_out_seconds: transfer,
-                    kernel_count: kernels,
-                    preemptive,
-                });
-            }
-            stages.push(list);
-        }
-        let cache_bytes: Vec<f64> = (0..platform.component_count())
-            .map(|c| platform.cache_bytes(ComponentId::new(c)))
-            .collect();
-        let mut compiled = Self { stages, component_count: platform.component_count() };
-        compiled.apply_inflation(&cache_bytes, params);
-        compiled
-    }
-
-    /// Cache-sensitivity inflation. For a stage `s` of DNN `d` on
-    /// component `p` (with `soft(x) = x / (x + cache_p)` ∈ [0, 1)):
-    ///
-    /// ```text
-    /// footprint(d,p) = soft(Σ_{stages of d on p} ws)
-    /// pressure(p)    = Σ_d footprint(d, p)                     < N
-    /// sens(s)        = soft(ws(s))
-    /// inflate(s)     = (1 + θ·sens(s)·(pressure(p) − footprint(d,p)))^κ
-    ///                  + α·(n_p − 1)
-    /// ```
-    ///
-    /// Pressure is accumulated per *DNN*, not per stage, so partitioning a
-    /// network more finely does not magically multiply its cache footprint;
-    /// only genuinely distinct co-runners thrash each other. Heavy stages
-    /// (large working set) both create pressure and are sensitive to it,
-    /// and `κ > 1` makes co-locating several heavyweights super-linearly
-    /// bad — the phenomenon that lets greedy managers starve
-    /// Inception-class models on the real board.
-    fn apply_inflation(&mut self, cache_bytes: &[f64], params: ContentionParams) {
-        let n = self.component_count;
-        let d_count = self.stages.len();
-        let soft = |ws: f64, cache: f64| ws / (ws + cache);
-        // footprint[d * n + p]: per-DNN working set on component p, summed
-        // and then softened in place.
-        let mut footprint = vec![0.0f64; d_count * n];
-        let mut counts = vec![0usize; n];
-        for (d, dnn) in self.stages.iter().enumerate() {
-            for s in dnn {
-                footprint[d * n + s.component.index()] += s.working_set;
-                counts[s.component.index()] += 1;
-            }
-        }
-        for row in footprint.chunks_exact_mut(n.max(1)) {
-            for (p, fp) in row.iter_mut().enumerate() {
-                *fp = soft(*fp, cache_bytes[p]);
-            }
-        }
-        let pressure: Vec<f64> =
-            (0..n).map(|p| (0..d_count).map(|d| footprint[d * n + p]).sum()).collect();
-        for (d, dnn) in self.stages.iter_mut().enumerate() {
-            for s in dnn.iter_mut() {
-                let p = s.component.index();
-                let sens = soft(s.working_set, cache_bytes[p]);
-                let others = (pressure[p] - footprint[d * n + p]).max(0.0);
-                let co = counts[p].saturating_sub(1) as f64;
-                let inflate =
-                    (1.0 + params.theta * sens * others).powf(params.kappa) + params.alpha * co;
-                s.inflated_seconds = s.base_seconds * inflate;
-            }
-        }
+        StageTable::compiled(&Direct::new(platform, workload), workload, mapping, params)
     }
 
     /// Number of DNNs.
@@ -226,87 +139,165 @@ impl CompiledWorkload {
     }
 }
 
-/// Pre-priced workload: every unit's isolated cost on every component,
-/// computed once per workload instead of once per oracle query.
-///
-/// Compiling a mapping only needs per-stage *sums* of per-unit values; the
-/// per-unit values themselves (a roofline walk over every layer) never
-/// change while the workload is fixed, yet the seed implementation
-/// recomputed them on every `CompiledWorkload::compile` — thousands of
-/// times per search. This table hoists that work out of the hot loop:
-/// [`WorkloadCosts::compile`] is a cheap range-sum pass that produces a
-/// `CompiledWorkload` bit-identical to the direct path.
-#[derive(Debug, Clone)]
-pub struct WorkloadCosts {
-    platform: Platform,
-    /// `unit_seconds[d][c][u]`: isolated seconds of unit `u` of DNN `d`
-    /// on component `c`.
-    unit_seconds: Vec<Vec<Vec<f64>>>,
-    /// `unit_weight_bytes[d][u]`.
-    unit_weight_bytes: Vec<Vec<u64>>,
-    /// `unit_peak_activation[d][u]`.
-    unit_peak_activation: Vec<Vec<u64>>,
-    /// `unit_kernels[d][u]`.
-    unit_kernels: Vec<Vec<usize>>,
-    /// `unit_out_bytes[d][u]`: bytes crossing a stage boundary after `u`.
-    unit_out_bytes: Vec<Vec<f64>>,
-    /// Per-component preemptive flag.
-    preemptive: Vec<bool>,
+/// What a compile reads of the platform besides unit costs.
+#[derive(Debug)]
+struct PlatformFacts {
     /// Per-component cache capacity (bytes).
     cache_bytes: Vec<f64>,
+    /// Per-component preemptive flag: CPU clusters time-share
+    /// preemptively, GPU/NPU command queues only at kernel boundaries.
+    preemptive: Vec<bool>,
+}
+
+impl PlatformFacts {
+    fn new(platform: &Platform) -> Self {
+        let comps = 0..platform.component_count();
+        Self {
+            cache_bytes: comps.clone().map(|c| platform.cache_bytes(ComponentId::new(c))).collect(),
+            preemptive: comps.map(|c| is_preemptive(platform, c)).collect(),
+        }
+    }
+}
+
+fn is_preemptive(platform: &Platform, c: usize) -> bool {
+    !matches!(
+        platform.component(ComponentId::new(c)).kind(),
+        ComponentKind::Gpu | ComponentKind::Npu
+    )
+}
+
+/// Where a compile reads each stage's isolated costs from.
+pub(crate) trait StagePrices {
+    /// Number of platform components.
+    fn component_count(&self) -> usize;
+
+    /// Cache capacity of a component, bytes.
+    fn cache_bytes(&self, c: usize) -> f64;
+
+    /// Whether a component time-shares preemptively: CPU clusters do,
+    /// GPU/NPU command queues switch only at kernel boundaries.
+    fn preemptive(&self, c: usize) -> bool;
+
+    /// Isolated seconds, working-set bytes (weights plus peak activation)
+    /// and kernel launches of units `range` of DNN `d` on `component`.
+    fn stage(&self, d: usize, component: ComponentId, range: Range<usize>) -> (f64, f64, usize);
+
+    /// Seconds to ship the output of unit `u` of DNN `d` to another
+    /// component.
+    fn transfer(&self, d: usize, u: usize) -> f64;
+}
+
+/// One-shot prices: each stage priced with the roofline model on demand.
+pub(crate) struct Direct<'a> {
+    cost: CostModel<'a>,
+    models: &'a [DnnModel],
+}
+
+impl<'a> Direct<'a> {
+    pub(crate) fn new(platform: &'a Platform, workload: &'a Workload) -> Self {
+        Self { cost: CostModel::new(platform), models: workload.models() }
+    }
+}
+
+impl StagePrices for Direct<'_> {
+    fn component_count(&self) -> usize {
+        self.cost.platform().component_count()
+    }
+
+    fn cache_bytes(&self, c: usize) -> f64 {
+        self.cost.platform().cache_bytes(ComponentId::new(c))
+    }
+
+    fn preemptive(&self, c: usize) -> bool {
+        is_preemptive(self.cost.platform(), c)
+    }
+
+    fn stage(&self, d: usize, component: ComponentId, range: Range<usize>) -> (f64, f64, usize) {
+        let model = &self.models[d];
+        let kernels = model.units()[range.clone()].iter().map(|u| u.kernel_count()).sum();
+        (
+            self.cost.stage_seconds(model, range.clone(), component),
+            self.cost.stage_working_set(model, range),
+            kernels,
+        )
+    }
+
+    fn transfer(&self, d: usize, u: usize) -> f64 {
+        let bytes = self.models[d].units()[u].output_shape().bytes() as f64;
+        self.cost.platform().transfer_link().transfer_seconds(bytes)
+    }
+}
+
+/// One model's units priced on every component of a platform: all a
+/// compile reads of the model, so compiling a mapping costs range sums
+/// instead of a roofline walk over every layer.
+#[derive(Debug)]
+struct ModelPrices {
+    units: usize,
+    /// `seconds[c * units + u]`: isolated seconds of unit `u` on component
+    /// `c`.
+    seconds: Box<[f64]>,
+    weight_bytes: Box<[u64]>,
+    peak_activation: Box<[u64]>,
+    kernels: Box<[usize]>,
+    /// `transfer[u]`: seconds to ship unit `u`'s output to another
+    /// component.
+    transfer: Box<[f64]>,
+}
+
+impl ModelPrices {
+    fn new(platform: &Platform, model: &DnnModel) -> Self {
+        let cost = CostModel::new(platform);
+        let units = model.units();
+        let link = platform.transfer_link();
+        Self {
+            units: units.len(),
+            seconds: (0..platform.component_count())
+                .flat_map(|c| units.iter().map(move |u| (u, ComponentId::new(c))))
+                .map(|(u, c)| cost.unit_seconds(u, c))
+                .collect(),
+            weight_bytes: units.iter().map(|u| u.weight_bytes()).collect(),
+            peak_activation: units.iter().map(|u| u.peak_activation_bytes()).collect(),
+            kernels: units.iter().map(|u| u.kernel_count()).collect(),
+            transfer: units
+                .iter()
+                .map(|u| link.transfer_seconds(u.output_shape().bytes() as f64))
+                .collect(),
+        }
+    }
+}
+
+/// Pre-priced workload: every unit's isolated cost on every component,
+/// one shared per-model price entry per DNN, so compiling a mapping is a
+/// cheap range-sum pass bit-identical to the one-shot
+/// [`CompiledWorkload::compile`].
+///
+/// Built fresh by [`WorkloadCosts::new`], or from the entries a
+/// [`PriceTable`] already holds (nothing priced twice).
+#[derive(Debug, Clone)]
+pub struct WorkloadCosts {
+    facts: Arc<PlatformFacts>,
+    models: Vec<Arc<ModelPrices>>,
 }
 
 impl WorkloadCosts {
     /// Prices every unit of `workload` on every component of `platform`.
     pub fn new(platform: &Platform, workload: &Workload) -> Self {
-        let cost = CostModel::new(platform);
-        let comps = platform.component_count();
-        let mut unit_seconds = Vec::with_capacity(workload.len());
-        let mut unit_weight_bytes = Vec::with_capacity(workload.len());
-        let mut unit_peak_activation = Vec::with_capacity(workload.len());
-        let mut unit_kernels = Vec::with_capacity(workload.len());
-        let mut unit_out_bytes = Vec::with_capacity(workload.len());
-        for model in workload.models() {
-            let units = model.units();
-            unit_seconds.push(
-                (0..comps)
-                    .map(|c| {
-                        let cid = ComponentId::new(c);
-                        units.iter().map(|u| cost.unit_seconds(u, cid)).collect()
-                    })
-                    .collect(),
-            );
-            unit_weight_bytes.push(units.iter().map(|u| u.weight_bytes()).collect());
-            unit_peak_activation
-                .push(units.iter().map(|u| u.peak_activation_bytes()).collect());
-            unit_kernels.push(units.iter().map(|u| u.kernel_count()).collect());
-            unit_out_bytes
-                .push(units.iter().map(|u| u.output_shape().bytes() as f64).collect());
-        }
-        let preemptive = (0..comps)
-            .map(|c| {
-                !matches!(
-                    platform.component(ComponentId::new(c)).kind(),
-                    rankmap_platform::ComponentKind::Gpu | rankmap_platform::ComponentKind::Npu
-                )
-            })
-            .collect();
-        let cache_bytes =
-            (0..comps).map(|c| platform.cache_bytes(ComponentId::new(c))).collect();
         Self {
-            platform: platform.clone(),
-            unit_seconds,
-            unit_weight_bytes,
-            unit_peak_activation,
-            unit_kernels,
-            unit_out_bytes,
-            preemptive,
-            cache_bytes,
+            facts: Arc::new(PlatformFacts::new(platform)),
+            models: workload
+                .models()
+                .iter()
+                .map(|m| Arc::new(ModelPrices::new(platform, m)))
+                .collect(),
         }
     }
 
-    /// Compiles one mapping of the priced workload — the hot-loop
-    /// equivalent of [`CompiledWorkload::compile`].
+    /// Compiles one mapping of the priced workload into per-DNN stage
+    /// lists — the hot-loop equivalent of [`CompiledWorkload::compile`],
+    /// for the event engine. (The analytical solver compiles straight
+    /// into its own table instead, see
+    /// [`crate::AnalyticalEngine::evaluate_with`].)
     ///
     /// # Panics
     ///
@@ -318,181 +309,322 @@ impl WorkloadCosts {
         mapping: &Mapping,
         params: ContentionParams,
     ) -> CompiledWorkload {
-        mapping
-            .validate(workload, self.platform.component_count())
-            .expect("mapping must be valid for this workload/platform");
-        let cost = CostModel::new(&self.platform);
-        let mut stages: Vec<Vec<CompiledStage>> = Vec::with_capacity(self.unit_seconds.len());
-        for d in 0..self.unit_seconds.len() {
-            // Walk the maximal same-component runs of the assignment
-            // directly (the stages `Mapping::stages` would list).
-            let assign = mapping.assignment(d);
-            let runs = 1 + assign.windows(2).filter(|pair| pair[0] != pair[1]).count();
-            let mut list = Vec::with_capacity(runs);
-            let mut start = 0;
-            for end in 1..=assign.len() {
-                let component = assign[start];
-                if end < assign.len() && assign[end] == component {
-                    continue;
-                }
-                let c = component.index();
-                let range = start..end;
-                let base: f64 = self.unit_seconds[d][c][range.clone()].iter().sum();
-                let weights: u64 = self.unit_weight_bytes[d][range.clone()].iter().sum();
-                let peak_act = self.unit_peak_activation[d][range.clone()]
-                    .iter()
-                    .max()
-                    .copied()
-                    .unwrap_or(0);
-                let transfer = if end < assign.len() {
-                    cost.transfer_seconds(self.unit_out_bytes[d][end - 1], component, assign[end])
-                } else {
-                    0.0
-                };
-                let kernels: usize = self.unit_kernels[d][range].iter().sum();
-                list.push(CompiledStage {
-                    component,
-                    base_seconds: base,
-                    inflated_seconds: base, // filled in below
-                    working_set: (weights + peak_act) as f64,
-                    transfer_out_seconds: transfer,
-                    kernel_count: kernels,
-                    preemptive: self.preemptive[c],
-                });
-                start = end;
-            }
-            stages.push(list);
-        }
-        let mut compiled = CompiledWorkload {
-            stages,
-            component_count: self.platform.component_count(),
-        };
-        compiled.apply_inflation(&self.cache_bytes, params);
-        compiled
+        StageTable::compiled(self, workload, mapping, params)
     }
 }
 
-/// Model mixes a [`CompileCache`] keeps priced at most. One entry
-/// measured 3.7 KB of heap on the Orange Pi 5 preset and 4.2 KB on the
-/// Jetson Orin NX (mean over random 1–4-DNN mixes, key and table
-/// included), so a full cache holds about 4 MB.
-pub const COMPILE_CACHE_BOUND: usize = 1_024;
+impl StagePrices for WorkloadCosts {
+    fn component_count(&self) -> usize {
+        self.facts.cache_bytes.len()
+    }
 
-/// Memoized [`WorkloadCosts`] keyed by model mix: the oracle-facing cache
-/// that stops `BoardOracle`/`AnalyticalOracle` re-pricing the workload on
-/// every query. Thread-safe; clones share nothing (each oracle owns one).
+    fn cache_bytes(&self, c: usize) -> f64 {
+        self.facts.cache_bytes[c]
+    }
+
+    fn preemptive(&self, c: usize) -> bool {
+        self.facts.preemptive[c]
+    }
+
+    fn stage(&self, d: usize, component: ComponentId, range: Range<usize>) -> (f64, f64, usize) {
+        let m = &self.models[d];
+        let row = component.index() * m.units;
+        let base: f64 = m.seconds[row + range.start..row + range.end].iter().sum();
+        let weights: u64 = m.weight_bytes[range.clone()].iter().sum();
+        let peak_act = m.peak_activation[range.clone()].iter().max().copied().unwrap_or(0);
+        let kernels: usize = m.kernels[range].iter().sum();
+        (base, (weights + peak_act) as f64, kernels)
+    }
+
+    fn transfer(&self, d: usize, u: usize) -> f64 {
+        self.models[d].transfer[u]
+    }
+}
+
+/// Every model the oracle meets, priced once for one platform: the
+/// oracle-facing table that stops `AnalyticalOracle`/`BoardOracle`
+/// re-pricing a workload on every query. Thread-safe; each oracle owns
+/// one.
 ///
-/// At most [`COMPILE_CACHE_BOUND`] mixes are kept, evicted generationally
-/// ([`GenerationalMap`]), so a mix in use stays priced. Costs are a pure
-/// function of the mix, so an eviction only costs a re-pricing. Lookups
-/// hash the model ids straight from the workload, without building a
-/// key.
+/// It holds at most one entry per registry model ([`ModelId`]), priced
+/// on first use, never up front, and shared through an `Arc` by every
+/// [`WorkloadCosts`] that names the model, so a mix not seen before costs
+/// no roofline walk and nothing mix-sized is kept. Entries are keyed by
+/// id: a workload must be built from registry models
+/// ([`Workload::from_ids`]).
 ///
-/// A cache binds to the first platform it prices for — mixing platforms
-/// in one cache would silently serve stale costs, so it panics instead.
+/// A table binds to the first platform it prices for — mixing platforms
+/// in one table would silently serve stale costs, so it panics instead.
+#[derive(Debug, Default)]
+pub struct PriceTable {
+    bound: OnceLock<BoundTable>,
+}
+
 #[derive(Debug)]
-pub struct CompileCache {
-    inner: Mutex<CostsMap>,
-    bound_platform: std::sync::OnceLock<Platform>,
+struct BoundTable {
+    platform: Platform,
+    facts: Arc<PlatformFacts>,
+    /// `models[id as usize]`.
+    models: Box<[OnceLock<Arc<ModelPrices>>]>,
 }
 
-type CostsMap =
-    GenerationalMap<Box<[ModelId]>, Arc<WorkloadCosts>, BuildHasherDefault<IdHasher>>;
-
-impl Default for CompileCache {
-    fn default() -> Self {
-        Self {
-            inner: Mutex::new(GenerationalMap::new(COMPILE_CACHE_BOUND)),
-            bound_platform: std::sync::OnceLock::new(),
-        }
-    }
-}
-
-/// A multiply-rotate hasher for the model-id keys: they are short,
-/// internal and not attacker-chosen, so SipHash's strength buys nothing.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_isize(&mut self, x: isize) {
-        self.write_u64(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Calls `f` with the workload's model ids in order, from a stack buffer
-/// when the workload is small enough.
-fn with_ids<R>(workload: &Workload, f: impl FnOnce(&[ModelId]) -> R) -> R {
-    const INLINE: usize = 16;
-    let models = workload.models();
-    if models.len() > INLINE {
-        return f(&models.iter().map(|m| m.id()).collect::<Vec<_>>());
-    }
-    let mut ids = [ModelId::AlexNet; INLINE];
-    for (slot, m) in ids.iter_mut().zip(models) {
-        *slot = m.id();
-    }
-    f(&ids[..models.len()])
-}
-
-impl CompileCache {
-    /// Creates an empty cache.
+impl PriceTable {
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The priced costs for `workload`, computing them on first sight of
-    /// this model mix (or again after its eviction).
+    /// The priced costs of `workload`, pricing each model on its first
+    /// sight.
     ///
     /// # Panics
     ///
     /// Panics if called with a different platform than the first call.
-    pub fn costs(&self, platform: &Platform, workload: &Workload) -> Arc<WorkloadCosts> {
-        let bound = self.bound_platform.get_or_init(|| platform.clone());
+    pub fn costs(&self, platform: &Platform, workload: &Workload) -> WorkloadCosts {
+        let bound = self.bound.get_or_init(|| BoundTable {
+            platform: platform.clone(),
+            facts: Arc::new(PlatformFacts::new(platform)),
+            models: ModelId::all().iter().map(|_| OnceLock::new()).collect(),
+        });
         assert_eq!(
-            bound, platform,
-            "CompileCache is bound to one platform; use a separate cache per platform"
+            &bound.platform, platform,
+            "PriceTable is bound to one platform; use a separate table per platform"
         );
-        if let Some(costs) = with_ids(workload, |ids| self.lock().get(ids)) {
-            return costs;
-        }
-        // Priced outside the lock: a racing miss only prices the same mix
-        // twice.
-        let costs = Arc::new(WorkloadCosts::new(platform, workload));
-        let key: Box<[ModelId]> = workload.models().iter().map(|m| m.id()).collect();
-        self.lock().insert(key, Arc::clone(&costs));
-        costs
+        let models = workload
+            .models()
+            .iter()
+            .map(|m| {
+                let entry = bound.models[m.id() as usize]
+                    .get_or_init(|| Arc::new(ModelPrices::new(platform, m)));
+                Arc::clone(entry)
+            })
+            .collect();
+        WorkloadCosts { facts: Arc::clone(&bound.facts), models }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CostsMap> {
-        self.inner.lock().expect("compile cache poisoned")
-    }
-
-    /// Number of model mixes priced and still held.
+    /// Number of models priced.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.bound.get().map_or(0, |b| b.models.iter().filter(|m| m.get().is_some()).count())
     }
 
-    /// Whether the cache is empty.
+    /// Whether nothing has been priced yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A compiled mapping as one flat struct-of-arrays table: its stages
+/// grouped by component, in [`CompiledWorkload::stages_by_component`]
+/// order (component, then DNN, then pipeline position). Reused across
+/// compiles, so a warm table allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct StageTable {
+    /// Component `c`'s stages are rows `groups[c]..groups[c + 1]`.
+    pub(crate) groups: Vec<usize>,
+    /// Owning DNN of each row.
+    pub(crate) dnn: Vec<usize>,
+    /// Inflated execution seconds of each row.
+    pub(crate) seconds: Vec<f64>,
+    /// Sharing weight of each row, already clamped to `1e-12`: 1 on a
+    /// preemptive component (equal time shares per stage), the mean
+    /// kernel duration in ms on a non-preemptive queue (whole kernels
+    /// served round-robin).
+    pub(crate) weight: Vec<f64>,
+    /// Per DNN, the isolated pipeline rate bound
+    /// ([`CompiledWorkload::pipeline_bound`]).
+    pub(crate) bounds: Vec<f64>,
+    base: Vec<f64>,
+    working_set: Vec<f64>,
+    transfer: Vec<f64>,
+    kernels: Vec<usize>,
+    /// The stages in pipeline order, each with its row.
+    runs: Vec<Run>,
+    /// Next free row per component while pricing.
+    cursor: Vec<usize>,
+    /// Per `(dnn, component)`, softened working set (`d * n + c`).
+    footprint: Vec<f64>,
+    /// Per component, the summed footprints.
+    pressure: Vec<f64>,
+}
+
+/// One stage in pipeline order: a maximal same-component run of units.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    dnn: usize,
+    component: usize,
+    start: usize,
+    end: usize,
+    row: usize,
+}
+
+impl StageTable {
+    /// Compiles `mapping` of `workload` from `prices`: fuse each DNN's
+    /// same-component runs into stages, price them, then apply the
+    /// cache-sensitivity inflation. For a stage `s` of DNN `d` on
+    /// component `p` (with `soft(x) = x / (x + cache_p)` ∈ [0, 1)):
+    ///
+    /// ```text
+    /// footprint(d,p) = soft(Σ_{stages of d on p} ws)
+    /// pressure(p)    = Σ_d footprint(d, p)                     < N
+    /// sens(s)        = soft(ws(s))
+    /// inflate(s)     = (1 + θ·sens(s)·(pressure(p) − footprint(d,p)))^κ
+    ///                  + α·(n_p − 1)
+    /// ```
+    ///
+    /// Pressure is accumulated per *DNN*, not per stage, so partitioning a
+    /// network more finely does not magically multiply its cache footprint;
+    /// only genuinely distinct co-runners thrash each other. Heavy stages
+    /// (large working set) both create pressure and are sensitive to it,
+    /// and `κ > 1` makes co-locating several heavyweights super-linearly
+    /// bad — the phenomenon that lets greedy managers starve
+    /// Inception-class models on the real board.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mapping does not validate against the workload and
+    /// platform.
+    pub(crate) fn compile(
+        &mut self,
+        prices: &impl StagePrices,
+        workload: &Workload,
+        mapping: &Mapping,
+        params: ContentionParams,
+    ) {
+        let n = prices.component_count();
+        mapping
+            .validate(workload, n)
+            .expect("mapping must be valid for this workload/platform");
+        let d_count = workload.len();
+        // Walk each DNN's maximal same-component runs (the stages
+        // `Mapping::stages` would list), counting stages per component.
+        self.runs.clear();
+        self.groups.clear();
+        self.groups.resize(n + 1, 0);
+        for d in 0..d_count {
+            let assign = mapping.assignment(d);
+            let mut start = 0;
+            for end in 1..=assign.len() {
+                if end < assign.len() && assign[end] == assign[start] {
+                    continue;
+                }
+                let component = assign[start].index();
+                self.runs.push(Run { dnn: d, component, start, end, row: 0 });
+                self.groups[component + 1] += 1;
+                start = end;
+            }
+        }
+        for c in 0..n {
+            self.groups[c + 1] += self.groups[c];
+        }
+        let rows = self.groups[n];
+        self.dnn.resize(rows, 0);
+        self.seconds.resize(rows, 0.0);
+        self.weight.resize(rows, 0.0);
+        self.base.resize(rows, 0.0);
+        self.working_set.resize(rows, 0.0);
+        self.transfer.resize(rows, 0.0);
+        self.kernels.resize(rows, 0);
+        // Price each stage into its component's next row, summing each
+        // DNN's working set per component in pipeline order.
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.groups[..n]);
+        self.footprint.clear();
+        self.footprint.resize(d_count * n, 0.0);
+        for run in &mut self.runs {
+            let i = self.cursor[run.component];
+            self.cursor[run.component] += 1;
+            run.row = i;
+            let (base, ws, kernels) =
+                prices.stage(run.dnn, ComponentId::new(run.component), run.start..run.end);
+            self.transfer[i] = if run.end < mapping.assignment(run.dnn).len() {
+                prices.transfer(run.dnn, run.end - 1)
+            } else {
+                0.0
+            };
+            self.dnn[i] = run.dnn;
+            self.base[i] = base;
+            self.working_set[i] = ws;
+            self.kernels[i] = kernels;
+            self.footprint[run.dnn * n + run.component] += ws;
+        }
+        let soft = |ws: f64, cache: f64| ws / (ws + cache);
+        for row in self.footprint.chunks_exact_mut(n.max(1)) {
+            for (p, fp) in row.iter_mut().enumerate() {
+                *fp = soft(*fp, prices.cache_bytes(p));
+            }
+        }
+        self.pressure.clear();
+        self.pressure
+            .extend((0..n).map(|p| (0..d_count).map(|d| self.footprint[d * n + p]).sum::<f64>()));
+        // Inflate every row; `bounds` holds each DNN's bottleneck until
+        // the end.
+        self.bounds.clear();
+        self.bounds.resize(d_count, 0.0);
+        for c in 0..n {
+            let group = self.groups[c]..self.groups[c + 1];
+            let co = group.len().saturating_sub(1) as f64;
+            let (cache, preemptive) = (prices.cache_bytes(c), prices.preemptive(c));
+            for i in group {
+                let d = self.dnn[i];
+                let sens = soft(self.working_set[i], cache);
+                let others = (self.pressure[c] - self.footprint[d * n + c]).max(0.0);
+                // A stage without co-runner pressure skips `powf`:
+                // exactly, as 1^κ = 1.
+                let thrash = 1.0 + params.theta * sens * others;
+                let thrash = if thrash == 1.0 { 1.0 } else { thrash.powf(params.kappa) };
+                let seconds = self.base[i] * (thrash + params.alpha * co);
+                self.seconds[i] = seconds;
+                let weight = if preemptive {
+                    1.0
+                } else {
+                    seconds / self.kernels[i].max(1) as f64 * 1e3
+                };
+                self.weight[i] = weight.max(1e-12);
+                self.bounds[d] = self.bounds[d].max(seconds).max(self.transfer[i]);
+            }
+        }
+        for bound in &mut self.bounds {
+            *bound = if *bound <= 0.0 { 0.0 } else { 1.0 / *bound };
+        }
+    }
+
+    /// Compiles on this thread's table, then regroups the table per DNN.
+    fn compiled(
+        prices: &impl StagePrices,
+        workload: &Workload,
+        mapping: &Mapping,
+        params: ContentionParams,
+    ) -> CompiledWorkload {
+        Self::with_local(|table| {
+            table.compile(prices, workload, mapping, params);
+            table.to_compiled(prices)
+        })
+    }
+
+    /// Runs `f` on this thread's reusable table.
+    pub(crate) fn with_local<R>(f: impl FnOnce(&mut StageTable) -> R) -> R {
+        thread_local! {
+            static TABLE: RefCell<StageTable> = RefCell::new(StageTable::default());
+        }
+        TABLE.with(|table| f(&mut table.borrow_mut()))
+    }
+
+    /// The compiled table regrouped per DNN.
+    fn to_compiled(&self, prices: &impl StagePrices) -> CompiledWorkload {
+        let mut stages: Vec<Vec<CompiledStage>> = vec![Vec::new(); self.bounds.len()];
+        for run in &self.runs {
+            let i = run.row;
+            stages[run.dnn].push(CompiledStage {
+                component: ComponentId::new(run.component),
+                base_seconds: self.base[i],
+                inflated_seconds: self.seconds[i],
+                working_set: self.working_set[i],
+                transfer_out_seconds: self.transfer[i],
+                kernel_count: self.kernels[i],
+                preemptive: prices.preemptive(run.component),
+            });
+        }
+        CompiledWorkload { stages, component_count: prices.component_count() }
     }
 }
 
@@ -578,43 +710,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compile_cache_memoizes_by_mix() {
-        let p = Platform::orange_pi_5();
-        let cache = CompileCache::new();
-        let w1 = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
-        let w2 = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
-        let w3 = Workload::from_ids([ModelId::MobileNet, ModelId::AlexNet]);
-        let a = cache.costs(&p, &w1);
-        let b = cache.costs(&p, &w2);
-        assert!(Arc::ptr_eq(&a, &b), "same mix must hit the cache");
-        let _ = cache.costs(&p, &w3);
-        assert_eq!(cache.len(), 2, "order matters: a different mix is a new entry");
+    /// The entries `costs` shares for `w`, by DNN.
+    fn entries(table: &PriceTable, p: &Platform, w: &Workload) -> Vec<Arc<ModelPrices>> {
+        table.costs(p, w).models
     }
 
     #[test]
-    fn compile_cache_stays_bounded_and_keeps_a_mix_in_use() {
+    fn a_new_mix_of_models_already_seen_prices_nothing() {
         let p = Platform::orange_pi_5();
-        let cache = CompileCache::new();
+        let table = PriceTable::new();
+        assert!(table.is_empty(), "nothing is priced before first use");
+        let first = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
+        let first = entries(&table, &p, &first);
+        assert_eq!(table.len(), 2);
+        let again = Workload::from_ids([ModelId::MobileNet, ModelId::AlexNet]);
+        let again = entries(&table, &p, &again);
+        assert_eq!(table.len(), 2, "a new order of the same models is no new entry");
+        assert!(Arc::ptr_eq(&again[0], &first[1]) && Arc::ptr_eq(&again[1], &first[0]));
+    }
+
+    #[test]
+    fn a_model_repeated_in_a_mix_shares_one_entry() {
+        let p = Platform::orange_pi_5();
+        let table = PriceTable::new();
+        let shared = entries(&table, &p, &Workload::from_ids([ModelId::ResNet50; 3]));
+        assert_eq!(table.len(), 1);
+        assert!(Arc::ptr_eq(&shared[0], &shared[1]) && Arc::ptr_eq(&shared[1], &shared[2]));
+    }
+
+    #[test]
+    fn price_table_holds_at_most_one_entry_per_registry_model() {
+        let p = Platform::jetson_orin_nx();
+        let table = PriceTable::new();
         let all = ModelId::all();
-        let hot = Workload::from_ids([ModelId::AlexNet; 20]);
-        let first = cache.costs(&p, &hot);
-        for i in 0..2 * COMPILE_CACHE_BOUND {
-            let w = Workload::from_ids([all[i % 24], all[i / 24 % 24], all[i / 576 % 24]]);
-            let _ = cache.costs(&p, &w);
-            assert!(cache.len() <= COMPILE_CACHE_BOUND, "the cache must stay bounded");
-            if i % 256 == 0 {
-                assert!(Arc::ptr_eq(&cache.costs(&p, &hot), &first), "a mix in use stays priced");
+        let params = ContentionParams::default();
+        for i in 0..2 * all.len() * all.len() {
+            let w = Workload::from_ids([all[i % 24], all[i / 24 % 24], all[(i * 7) % 24]]);
+            let costs = table.costs(&p, &w);
+            assert!(table.len() <= all.len(), "the table must stay bounded by the registry");
+            if i % 97 == 0 {
+                let m = Mapping::uniform(&w, ComponentId::new(i % p.component_count()));
+                assert_eq!(
+                    costs.compile(&w, &m, params),
+                    CompiledWorkload::compile(&p, &w, &m, params),
+                    "shared prices compile exactly like the one-shot path"
+                );
             }
         }
-        // An evicted mix is priced again, to the same costs.
-        let w = Workload::from_ids([all[0], all[0], all[0]]);
-        let m = Mapping::uniform(&w, ComponentId::new(1));
-        let params = ContentionParams::default();
-        assert_eq!(
-            cache.costs(&p, &w).compile(&w, &m, params),
-            CompiledWorkload::compile(&p, &w, &m, params)
-        );
+        assert_eq!(table.len(), all.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "bound to one platform")]
+    fn price_table_refuses_a_second_platform() {
+        let table = PriceTable::new();
+        let w = Workload::from_ids([ModelId::AlexNet]);
+        let _ = table.costs(&Platform::orange_pi_5(), &w);
+        let _ = table.costs(&Platform::jetson_orin_nx(), &w);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! A bounded map with generational eviction, shared by the compile cache
-//! and the board's report memo.
+//! A bounded map with generational eviction, shared by the board's report
+//! memo and the learned oracle's stem cache.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 
 /// A map holding at most `bound` entries with O(1) amortized eviction.
 /// Entries live in two generations: inserts go to the young one, and once
@@ -13,13 +12,13 @@ use std::hash::{BuildHasher, Hash};
 /// to the young one, so an entry in use survives. Meant for memos of pure
 /// functions, where an eviction only costs a recomputation.
 #[derive(Debug, Clone)]
-pub struct GenerationalMap<K, V, S = RandomState> {
-    young: HashMap<K, V, S>,
-    old: HashMap<K, V, S>,
+pub struct GenerationalMap<K, V> {
+    young: HashMap<K, V>,
+    old: HashMap<K, V>,
     half: usize,
 }
 
-impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> GenerationalMap<K, V, S> {
+impl<K: Eq + Hash, V: Clone> GenerationalMap<K, V> {
     /// An empty map holding at most `bound` entries.
     ///
     /// # Panics
@@ -27,7 +26,7 @@ impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> GenerationalMap<K, V, S> 
     /// Panics if `bound < 2` (each generation holds half of it).
     pub fn new(bound: usize) -> Self {
         assert!(bound >= 2, "a generational map needs a bound of at least 2");
-        Self { young: HashMap::default(), old: HashMap::default(), half: bound / 2 }
+        Self { young: HashMap::new(), old: HashMap::new(), half: bound / 2 }
     }
 
     /// The value under `key`, moving an old-generation entry back to the

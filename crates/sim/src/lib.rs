@@ -55,7 +55,7 @@ pub mod workload;
 
 pub use analytical::AnalyticalEngine;
 pub use contention::{
-    CompileCache, CompiledStage, CompiledWorkload, ContentionParams, WorkloadCosts,
+    CompiledStage, CompiledWorkload, ContentionParams, PriceTable, WorkloadCosts,
 };
 pub use cost::CostModel;
 pub use event::{EventConfig, EventEngine};
@@ -79,12 +79,12 @@ mod thread_safety {
         // The serving stack moves per-shard engines to worker threads
         // between event barriers (see rankmap-fleet): every engine and
         // every piece of workload state must be Send, and the shared
-        // pieces (compile caches, workloads behind Arc) Sync.
+        // pieces (price tables, workloads behind Arc) Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AnalyticalEngine<'static>>();
         assert_send_sync::<EventEngine<'static>>();
         assert_send_sync::<MigrationModel<'static>>();
-        assert_send_sync::<CompileCache>();
+        assert_send_sync::<PriceTable>();
         assert_send_sync::<Workload>();
         assert_send_sync::<Mapping>();
         assert_send_sync::<ThroughputReport>();

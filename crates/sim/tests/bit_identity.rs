@@ -1,15 +1,17 @@
 //! Bit-identity of the hot simulator paths against straightforward
 //! reference implementations.
 //!
-//! `AnalyticalEngine::solve` flattens the stages once per query and runs
-//! its max–min allocation in place; `WorkloadCosts::compile` walks
-//! same-component runs from a pre-priced table; `EventEngine::run` is a
-//! flat struct-of-arrays event loop with packed heap keys. All three must
-//! reproduce, bit for bit, the simple formulations kept here: a solver
-//! that regroups the stages and allocates fresh vectors on every
-//! fixed-point iteration, a compile that fuses stages with
-//! `Mapping::stages` and prices them with the roofline `CostModel`, and
-//! the nested-vector event loop the board simulator started as. The
+//! `AnalyticalEngine` compiles each mapping straight into a flat
+//! per-component stage table and runs its max–min allocation in place;
+//! `WorkloadCosts::compile` walks same-component runs from per-model
+//! price tables; `AnalyticalOracle` shares those tables across mixes
+//! through a `PriceTable`; `EventEngine::run` is a flat struct-of-arrays
+//! event loop with packed heap keys. All of them must reproduce, bit for
+//! bit, the simple formulations kept here: a solver that regroups the
+//! stages and allocates fresh vectors on every fixed-point iteration, a
+//! compile that fuses stages with `Mapping::stages` and prices them with
+//! the roofline `CostModel`, and the nested-vector event loop the board
+//! simulator started as. The
 //! reference loop simulates every event to the horizon, so every case,
 //! single- and multi-DNN, also pins the flat loop's steady-state skip
 //! (whole periods counted, not simulated) to exact rates.
@@ -17,6 +19,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rankmap_core::oracle::{AnalyticalOracle, ThroughputOracle};
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, ComponentKind, Platform};
 use rankmap_sim::{
@@ -432,26 +435,80 @@ prop_compose! {
     }
 }
 
+/// The reference rates of `mapping`, as bit patterns.
+fn reference_bits(platform: &Platform, w: &Workload, m: &Mapping) -> Vec<u64> {
+    let compiled = reference_compile(platform, w, m, ContentionParams::default());
+    bits(&reference_solve(&compiled).per_dnn)
+}
+
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Both compile paths equal the reference compile, and the solver's
-    /// rates equal the reference solver's in every bit.
+    /// Both compile paths equal the reference compile; the solver's rates,
+    /// one-shot and pre-priced, and the analytical oracle's (its single,
+    /// batched and grouped queries) equal the reference solver's in
+    /// every bit.
     #[test]
-    fn solve_and_compile_match_reference((platform, w, m) in case()) {
+    fn solve_and_compile_match_reference(
+        (platform, w, m) in case(),
+        other_contiguous in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
         let params = ContentionParams::default();
         let reference = reference_compile(&platform, &w, &m, params);
         let direct = CompiledWorkload::compile(&platform, &w, &m, params);
-        let cached = WorkloadCosts::new(&platform, &w).compile(&w, &m, params);
+        let costs = WorkloadCosts::new(&platform, &w);
+        let cached = costs.compile(&w, &m, params);
         prop_assert_eq!(&direct, &reference);
         prop_assert_eq!(&cached, &direct);
 
-        let got = AnalyticalEngine::new(&platform).solve(&cached);
-        let want = reference_solve(&reference);
-        prop_assert_eq!(got.per_dnn.len(), want.per_dnn.len());
-        for (d, (g, r)) in got.per_dnn.iter().zip(&want.per_dnn).enumerate() {
-            prop_assert_eq!(g.to_bits(), r.to_bits(), "dnn {}: {} vs {}", d, g, r);
-        }
+        let want = bits(&reference_solve(&reference).per_dnn);
+        let engine = AnalyticalEngine::new(&platform);
+        prop_assert_eq!(&bits(&engine.evaluate(&w, &m).per_dnn), &want);
+        prop_assert_eq!(&bits(&engine.evaluate_with(&costs, &w, &m).per_dnn), &want);
+
+        // The oracle over one shared price table: a second mapping of the
+        // same mix, the first model twice on the same components (a
+        // repeated model, one shared price entry) and the first model
+        // alone (no co-runner pressure anywhere: `powf` skipped).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let components = platform.component_count();
+        let other = if other_contiguous {
+            contiguous_mapping(&w, components, &mut rng)
+        } else {
+            Mapping::random(&w, components, &mut rng)
+        };
+        let first = w.models()[0].id();
+        let twice = Workload::from_ids([first, first]);
+        let twice_m = Mapping::new(vec![m.assignment(0).to_vec(); 2]);
+        let alone = Workload::from_ids([first]);
+        let alone_m = Mapping::new(vec![m.assignment(0).to_vec()]);
+        let oracle = AnalyticalOracle::new(&platform);
+        let both = [m.clone(), other.clone()];
+        let want_both = vec![want.clone(), reference_bits(&platform, &w, &other)];
+        prop_assert_eq!(&bits(&oracle.predict(&w, &m)), &want);
+        let batch: Vec<Vec<u64>> =
+            oracle.predict_batch(&w, &both).iter().map(|r| bits(r)).collect();
+        prop_assert_eq!(&batch, &want_both);
+        let twice_ms = [twice_m.clone()];
+        let alone_ms = [alone_m.clone()];
+        let queries: Vec<(&Workload, &[Mapping])> =
+            vec![(&w, &both), (&twice, &twice_ms), (&alone, &alone_ms)];
+        let grouped: Vec<Vec<Vec<u64>>> = oracle
+            .predict_grouped(&queries)
+            .iter()
+            .map(|q| q.iter().map(|r| bits(r)).collect())
+            .collect();
+        let want_grouped = vec![
+            want_both,
+            vec![reference_bits(&platform, &twice, &twice_m)],
+            vec![reference_bits(&platform, &alone, &alone_m)],
+        ];
+        prop_assert_eq!(grouped, want_grouped);
     }
 }
 

@@ -66,7 +66,7 @@ proptest! {
         let engine = AnalyticalEngine::new(&platform);
         let compiled =
             CompiledWorkload::compile(&platform, &w, &m, ContentionParams::default());
-        let r = engine.solve(&compiled);
+        let r = engine.evaluate(&w, &m);
         for &x in &r.per_dnn {
             prop_assert!(x.is_finite() && x >= 0.0);
         }
