@@ -18,7 +18,7 @@
 //!
 //! `RANKMAP_BENCH_SMOKE=1` shrinks sample counts and the scenario so CI
 //! can keep this bench compiling *and running* without paying full
-//! measurement time.
+//! measurement time, and writes no `BENCH_runtime.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
@@ -166,13 +166,21 @@ fn bench_runtime_remap(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
+fn config() -> Criterion {
+    let config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(8))
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json"));
+        .warm_up_time(std::time::Duration::from_millis(500));
+    if smoke() {
+        config
+    } else {
+        config.json_output(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json"))
+    }
+}
+
+criterion_group! {
+    name = benches;
+    config = config();
     targets = bench_runtime_remap
 }
 criterion_main!(benches);

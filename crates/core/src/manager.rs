@@ -264,38 +264,6 @@ impl<'p, O: ThroughputOracle> RankMapManager<'p, O> {
         self.plan_cache.lock().expect("plan cache poisoned").stats()
     }
 
-    /// Clones the plan cache — the opening bracket of a *speculative*
-    /// remap whose result may be thrown away. Cache state (contents, LRU
-    /// recency, the logical clock, the hit/miss counters) is an input of
-    /// later remaps — a hit can return a plan a fresh search would not,
-    /// and recency decides what the capacity bound evicts — so a loser's
-    /// footprint must never reach the shared cache. The speculator takes
-    /// this snapshot, lets the remap mutate the live cache, then swaps
-    /// the pristine snapshot back in via
-    /// [`RankMapManager::plan_cache_restore`], keeping the mutated state
-    /// aside to install only if the speculation wins.
-    pub fn plan_cache_snapshot(&self) -> crate::plan_cache::PlanCache {
-        self.plan_cache.lock().expect("plan cache poisoned").clone()
-    }
-
-    /// Replaces the plan cache wholesale, returning the displaced state.
-    /// Two uses close the speculation bracket: swapping the pristine
-    /// pre-snapshot back in right after a speculative remap (the return
-    /// value is then the speculation's post state, carried aside), and
-    /// installing that post state when the speculation commits. The
-    /// committer must prove nothing touched the cache in between — the
-    /// fleet's apply-lane scheduler proves it by epoch stamp: every
-    /// mid-walk decision that can remap a shard also bumps its epoch,
-    /// which turns the pending commit into a discard (a plain drop, which
-    /// is what makes this design order-independent where an undo log is
-    /// not: late discards leave intervening mutations intact).
-    pub fn plan_cache_restore(
-        &self,
-        cache: crate::plan_cache::PlanCache,
-    ) -> crate::plan_cache::PlanCache {
-        std::mem::replace(&mut self.plan_cache.lock().expect("plan cache poisoned"), cache)
-    }
-
     /// Snapshots the plan cache to JSON (see [`PlanCache::to_json`]) so a
     /// restarted manager — or a whole fleet — boots serving yesterday's
     /// plans.
@@ -686,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_snapshots_refuse_to_cross_board_types() {
+    fn exported_plan_caches_refuse_to_cross_board_types() {
         // An Orange Pi snapshot must not boot a Jetson-class shard: the
         // numbers inside were priced on a different board, and shape
         // checks alone cannot catch a same-component-count mismatch.

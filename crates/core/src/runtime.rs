@@ -861,140 +861,6 @@ impl<'p> RuntimeSession<'p> {
             (incumbent_mapping, 0.0)
         }
     }
-
-    /// The [`InstanceId`] the next arrival applied to this session will
-    /// receive. Lets a log-ordered scheduler pin an admission's identity
-    /// *before* the apply itself retires on a concurrent lane (see
-    /// [`RuntimeSession::prepare_apply`]): ordinals are assigned strictly
-    /// in apply order, so as long as no other apply lands on this session
-    /// first, the pinned id is exact.
-    pub fn peek_next_instance_id(&self) -> InstanceId {
-        InstanceId::new(self.next_ordinal)
-    }
-
-    /// Runs [`RuntimeSession::advance_to`]`(at)` + [`RuntimeSession::apply`]
-    /// as a **pure computation**: the expensive work (mapper remap, the
-    /// migration-aware decision, event-engine evaluation) happens now, but
-    /// the session is left exactly as it was — every mutation is captured
-    /// into the returned [`PreparedApply`] instead. A later
-    /// [`RuntimeSession::commit_apply`] installs the captured state in
-    /// O(fields), with no recomputation; until then the session still
-    /// answers queries for its *pre*-apply state.
-    ///
-    /// This is the mechanism behind the fleet's out-of-order apply lanes:
-    /// prepares fan across shards in parallel (each lane owns its shard's
-    /// session), while commits retire serially in log order — and a
-    /// prepare invalidated by an intervening cross-shard decision is
-    /// simply dropped, since nothing was mutated.
-    ///
-    /// The mapper *is* mutated (plan-cache insertions) — by design: the
-    /// cache is content-keyed and decision-neutral, so warming it from a
-    /// discarded prepare is harmless.
-    pub fn prepare_apply(
-        &mut self,
-        at: f64,
-        events: &[DynamicEvent],
-        window_hint: f64,
-        mapper: &mut dyn WorkloadMapper,
-    ) -> PreparedApply {
-        // Snapshot the small mutable core. `timeline` can be large, so it
-        // is split at its current length instead of cloned.
-        let pre_clock = self.clock;
-        let pre_instances = self.instances.clone();
-        let pre_placements = self.placements.clone();
-        let pre_next_ordinal = self.next_ordinal;
-        let pre_segment = self.segment.clone();
-        let pre_pending_stall = self.pending_stall;
-        let timeline_len = self.timeline.len();
-
-        self.advance_to(at);
-        let assigned = self.apply(events, window_hint, mapper);
-
-        let new_points = self.timeline.split_off(timeline_len);
-        let prepared = PreparedApply {
-            assigned,
-            clock: self.clock,
-            derate: self.derate,
-            instances: std::mem::replace(&mut self.instances, pre_instances),
-            placements: std::mem::replace(&mut self.placements, pre_placements),
-            next_ordinal: self.next_ordinal,
-            segment: self.segment.take(),
-            pending_stall: self.pending_stall,
-            new_points,
-        };
-        self.clock = pre_clock;
-        self.next_ordinal = pre_next_ordinal;
-        self.segment = pre_segment;
-        self.pending_stall = pre_pending_stall;
-        prepared
-    }
-
-    /// Installs a [`PreparedApply`] captured by
-    /// [`RuntimeSession::prepare_apply`] **on this same session, with no
-    /// intervening applies** — the caller proves that (the fleet layer
-    /// stamps prepares with the owning shard's epoch and discards on
-    /// mismatch). Bit-identical to having run the apply eagerly: every
-    /// captured field, including the derate in force at prepare time and
-    /// the timeline points the apply's `close_segment` emitted, is
-    /// installed verbatim. Returns the arrivals' assigned
-    /// [`InstanceId`]s.
-    pub fn commit_apply(&mut self, prepared: PreparedApply) -> Vec<InstanceId> {
-        debug_assert!(
-            prepared.clock >= self.clock - 1e-9,
-            "a prepared apply cannot move the session clock backwards"
-        );
-        self.clock = prepared.clock;
-        self.derate = prepared.derate;
-        self.instances = prepared.instances;
-        self.placements = prepared.placements;
-        self.next_ordinal = prepared.next_ordinal;
-        self.segment = prepared.segment;
-        self.pending_stall = prepared.pending_stall;
-        self.timeline.extend(prepared.new_points);
-        prepared.assigned
-    }
-}
-
-/// The captured effect of one [`RuntimeSession::apply`], produced by
-/// [`RuntimeSession::prepare_apply`] without mutating the session and
-/// installed later by [`RuntimeSession::commit_apply`]. Between the two
-/// calls it is inert data (`Send`), so prepares can be computed on worker
-/// threads and retired wherever log order demands.
-pub struct PreparedApply {
-    assigned: Vec<InstanceId>,
-    clock: f64,
-    derate: f64,
-    instances: Vec<(InstanceId, ModelId)>,
-    placements: HashMap<InstanceId, Vec<ComponentId>>,
-    next_ordinal: u64,
-    segment: Option<Segment>,
-    pending_stall: f64,
-    new_points: Vec<TimelinePoint>,
-}
-
-impl PreparedApply {
-    /// The [`InstanceId`]s the apply's arrivals will receive on commit.
-    pub fn assigned(&self) -> &[InstanceId] {
-        &self.assigned
-    }
-
-    /// The post-apply live instances, in arrival order — what
-    /// [`RuntimeSession::live`] will answer after commit.
-    pub fn live(&self) -> &[(InstanceId, ModelId)] {
-        &self.instances
-    }
-
-    /// The post-apply placement of an instance — what
-    /// [`RuntimeSession::placement`] will answer after commit.
-    pub fn placement(&self, id: InstanceId) -> Option<&[ComponentId]> {
-        self.placements.get(&id).map(Vec::as_slice)
-    }
-
-    /// The derate factor in force when the apply was prepared (installed
-    /// on commit, so a caller-side override survives the round trip).
-    pub fn derate(&self) -> f64 {
-        self.derate
-    }
 }
 
 #[cfg(test)]
@@ -1090,52 +956,6 @@ mod tests {
         let mut mapper = GpuOnly;
         let tl = rt.run(&events, &mut mapper, 300.0);
         assert_eq!(tl.last().unwrap().models.len(), 3);
-    }
-
-    #[test]
-    fn prepared_apply_commits_bit_identically_and_discards_cleanly() {
-        let p = Platform::orange_pi_5();
-        let rt = DynamicRuntime::new(&p, 50.0);
-        let steps: Vec<(f64, Vec<DynamicEvent>)> = vec![
-            (0.0, vec![DynamicEvent::arrive(0.0, ModelId::AlexNet)]),
-            (80.0, vec![DynamicEvent::arrive(80.0, ModelId::SqueezeNetV2)]),
-            (160.0, vec![DynamicEvent::depart(160.0, InstanceId::new(0))]),
-            (210.0, vec![DynamicEvent::arrive(210.0, ModelId::ResNet50)]),
-        ];
-        // The eager reference.
-        let mut eager = rt.session();
-        let mut mapper = GpuOnly;
-        let mut eager_assigned = Vec::new();
-        for (at, events) in &steps {
-            eager.advance_to(*at);
-            eager_assigned.extend(eager.apply(events, 50.0, &mut mapper));
-        }
-        eager.finish(300.0);
-        // The same walk through prepare → commit, with a discarded decoy
-        // prepare thrown in before each commit to prove prepares are pure.
-        let mut lane = rt.session();
-        let mut lane_assigned = Vec::new();
-        for (at, events) in &steps {
-            let decoy =
-                lane.prepare_apply(*at, &[DynamicEvent::arrive(*at, ModelId::Vgg16)], 50.0, &mut mapper);
-            drop(decoy);
-            let pinned = lane.peek_next_instance_id();
-            let prepared = lane.prepare_apply(*at, events, 50.0, &mut mapper);
-            if matches!(events[0], DynamicEvent::Arrive { .. }) {
-                // The pin taken before the prepare names the arrival's id.
-                assert_eq!(prepared.assigned(), &[pinned]);
-            } else {
-                assert!(prepared.assigned().is_empty());
-            }
-            lane_assigned.extend(lane.commit_apply(prepared));
-        }
-        lane.finish(300.0);
-        assert_eq!(eager_assigned, lane_assigned);
-        assert_eq!(eager.live(), lane.live());
-        for (id, _) in eager.live() {
-            assert_eq!(eager.placement(*id), lane.placement(*id));
-        }
-        assert_eq!(eager.into_timeline(), lane.into_timeline());
     }
 
     #[test]

@@ -21,14 +21,8 @@
 //! first, survivor capacity runs out on the *low* tiers — the RankMap
 //! promise (high priority keeps its throughput) extended to board loss.
 //!
-//! Under the apply-lane scheduler (`apply_lanes`, see `crate::lanes`) a
-//! `ShardDown` evacuation is a **lane fence**: the pending batch drains
-//! (prepared applies commit in log order, running their deferred checks)
-//! before triage reads the fleet, so evacuation scores exactly the state
-//! the serial cursor would. The overload guard is the other way around —
-//! it is itself one of the deferred checks that ride the lane walk, and
-//! a shed it performs bumps the victim shard's epoch, forcing any later
-//! prepared op on that shard to discard and apply directly.
+//! The overload guard runs after every event, right after the
+//! rebalancer, on the post-rebalance fleet (`FleetExecutor::after_event`).
 
 use crate::executor::{Disposition, FleetExecutor, RunState};
 use crate::load::RequestId;

@@ -3,11 +3,9 @@
 //! and an O(log S) health read, bit-identical to the full scans.
 //!
 //! Two structures, both maintained lazily from per-shard epoch counters
-//! (every [`Shard::apply`], every lane retire — `Shard::commit` bumps
-//! the epoch exactly like the direct apply it stands in for, so applies
-//! prepared out of order under `apply_lanes` refile identically — and
-//! `mark_down` bumps the epoch, so a refresh only recomputes the handful
-//! of shards an event actually touched):
+//! (every [`Shard::apply`] and every `mark_down` bumps the epoch, so a
+//! refresh only recomputes the handful of shards an event actually
+//! touched):
 //!
 //! - **Placement classes.** Every *up* shard is filed under a byte key
 //!   pinning all inputs of `build_probe`: platform group, throttle bits,

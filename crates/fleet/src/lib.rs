@@ -27,15 +27,11 @@
 //!   any run is reproducible bit-for-bit from a trace file.
 //! * The **shard-parallel executor** ([`executor`]) advances all shards
 //!   concurrently: [`FleetConfig::parallelism`] selects
-//!   [`Parallelism::Threads`]`(n)` (global event barriers; the default
-//!   sizes to the host's cores),
-//!   [`Parallelism::Async`]` { workers, max_epoch_lag, apply_lanes }`
-//!   (the barrier-free epoch log: bounded-staleness speculative scoring
-//!   validated at apply time, optionally retiring applies through
-//!   out-of-order per-shard lanes), or the [`Parallelism::Sequential`]
-//!   reference — all produce bit-identical placements, timelines,
-//!   metrics, and trace replays (property-tested in `tests/parallel.rs`
-//!   and `tests/async_exec.rs`).
+//!   [`Parallelism::Threads`]`(n)` (per-shard work fans across `n`
+//!   threads between global event barriers; the default sizes to the
+//!   host's cores) or the [`Parallelism::Sequential`] reference — both
+//!   produce bit-identical placements, timelines, metrics, and trace
+//!   replays (property-tested in `tests/parallel.rs`).
 //!
 //! # Quickstart (homogeneous)
 //!
@@ -91,7 +87,6 @@
 pub mod executor;
 mod faults;
 mod index;
-mod lanes;
 pub mod load;
 pub mod metrics;
 mod placement;
@@ -99,11 +94,10 @@ mod rebalance;
 pub mod runtime;
 mod shard;
 pub mod spec;
-mod speculate;
 pub mod telemetry;
 pub mod trace;
 
-pub use executor::{FleetConfig, FleetConfigError, Parallelism, LOOKAHEAD_BOUND};
+pub use executor::{FleetConfig, FleetConfigError, Parallelism};
 pub use load::{
     generate, ArrivalProcess, FaultSpec, FlashSpec, FleetEvent, LoadSpec, LoadStream,
     Popularity, RequestId, TenantSpec,

@@ -14,7 +14,6 @@
 
 use crate::executor::FleetExecutor;
 use crate::shard::Shard;
-use crate::speculate::{SpecEntry, SpecStat};
 use crate::telemetry::stage;
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{ideal_rate_of, priorities_or_uniform, weighted_potential};
@@ -278,37 +277,15 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
     /// entirely (no probe built, no oracle question) — the rebalancer
     /// scores a victim's destinations this way so the source shard never
     /// costs an evaluation it is about to discard.
+    ///
+    /// Probe building fans across the worker pool (one worker per shard);
+    /// memo lookups, the grouped oracle calls, and folding run serially
+    /// at the barrier, in canonical shard order, so fused/serial and
+    /// sequential/threaded execution all produce bit-identical scores.
     pub(crate) fn probe_scores_excluding(
         &mut self,
         model: ModelId,
         exclude: Option<usize>,
-    ) -> Vec<Option<(f64, f64)>> {
-        self.probe_scores_with(model, exclude, None)
-    }
-
-    /// The full scoring fan, optionally seeded with the epoch log's
-    /// speculative probes for this arrival (`speculated[s]` is shard
-    /// `s`'s entry — see `crate::speculate`).
-    ///
-    /// Probe building fans across the worker pool (one worker per shard);
-    /// memo lookups, the grouped oracle calls, and folding run serially
-    /// at the barrier, in canonical shard order, so fused/serial,
-    /// sequential/threaded, and barrier/epoch-log execution all produce
-    /// bit-identical scores. A speculative probe is only reused when
-    /// apply-time validation proves the snapshot it was scored against
-    /// is (still, or again) the live shard state:
-    ///
-    /// * epoch unchanged — the snapshot *is* the live state;
-    /// * `0 < lag <= max_epoch_lag` and the placement class key matches —
-    ///   the shard returned to a state that builds the bit-identical
-    ///   probe (**revalidation**);
-    /// * otherwise the entry expired and the probe is **rebuilt** against
-    ///   the fresh snapshot (the fallback re-probe).
-    pub(crate) fn probe_scores_with(
-        &mut self,
-        model: ModelId,
-        exclude: Option<usize>,
-        speculated: Option<Vec<Option<SpecEntry>>>,
     ) -> Vec<Option<(f64, f64)>> {
         let max_per_shard = self.config.max_per_shard;
         let floor = self.config.admission_floor;
@@ -326,105 +303,16 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             None
         };
         let build = self.telemetry.stage(stage::PROBE_BUILD);
-        let probes: Vec<Option<Probe>> = match speculated {
-            None => {
-                let fresh = self.for_each_shard(|s, shard| {
-                    if Some(s) == exclude || rep_mask.as_ref().is_some_and(|mask| !mask[s]) {
-                        None
-                    } else {
-                        shard.build_probe(s, model, max_per_shard)
-                    }
-                });
-                self.telemetry.finish(build);
-                self.telemetry.count(
-                    "fleet_probes_built_total",
-                    fresh.iter().flatten().count() as u64,
-                );
-                fresh
+        let probes: Vec<Option<Probe>> = self.for_each_shard(|s, shard| {
+            if Some(s) == exclude || rep_mask.as_ref().is_some_and(|mask| !mask[s]) {
+                None
+            } else {
+                shard.build_probe(s, model, max_per_shard)
             }
-            Some(entries) => {
-                let max_lag = self.config.parallelism.max_epoch_lag();
-                // Pair every shard with its (taken) speculative entry so
-                // the validation fan owns both sides of the comparison.
-                let mut pairs: Vec<(&mut Shard<'p, O>, Option<SpecEntry>)> =
-                    self.shards.iter_mut().zip(entries).collect();
-                let validate = |s: usize,
-                                pair: &mut (&mut Shard<'p, O>, Option<SpecEntry>)|
-                 -> (Option<Probe>, SpecStat) {
-                    let (shard, cell) = pair;
-                    if Some(s) == exclude || rep_mask.as_ref().is_some_and(|mask| !mask[s])
-                    {
-                        // A filed entry for a shard this admission skips
-                        // (excluded source, or masked out after the index
-                        // refresh) is speculation that bought nothing.
-                        let wasted = cell.take().is_some();
-                        return (None, SpecStat { wasted, ..SpecStat::default() });
-                    }
-                    match cell.take() {
-                        // Nothing speculated for this shard (flushed, or
-                        // it was no representative then): build fresh.
-                        None => (
-                            shard.build_probe(s, model, max_per_shard),
-                            SpecStat::default(),
-                        ),
-                        Some(entry) => {
-                            let lag = shard.epoch().saturating_sub(entry.epoch);
-                            let stat = SpecStat { consulted: true, lag, ..SpecStat::default() };
-                            if lag == 0 {
-                                (entry.probe, SpecStat { reused: true, ..stat })
-                            } else if lag <= max_lag
-                                && shard.placement_class_key() == entry.class_key
-                            {
-                                (
-                                    entry.probe,
-                                    SpecStat { reused: true, revalidated: true, ..stat },
-                                )
-                            } else {
-                                (
-                                    shard.build_probe(s, model, max_per_shard),
-                                    SpecStat {
-                                        revalidated: lag <= max_lag,
-                                        refreshed: true,
-                                        wasted: true,
-                                        ..stat
-                                    },
-                                )
-                            }
-                        }
-                    }
-                };
-                let validated: Vec<(Option<Probe>, SpecStat)> =
-                    rayon::iter::par_map_slice_mut(
-                        &mut pairs,
-                        self.config.parallelism.width(),
-                        &validate,
-                    );
-                drop(pairs);
-                self.telemetry.finish(build);
-                // Serial merge of the fan's observability: counters plus
-                // the per-shard lag gauges the sampler exports.
-                let (mut reused, mut revalidations, mut refreshes, mut built, mut wasted) =
-                    (0u64, 0u64, 0u64, 0u64, 0u64);
-                let mut probes = Vec::with_capacity(validated.len());
-                for (s, (probe, stat)) in validated.into_iter().enumerate() {
-                    if stat.consulted {
-                        self.epoch_lags[s] = stat.lag;
-                    }
-                    reused += u64::from(stat.reused);
-                    revalidations += u64::from(stat.revalidated);
-                    refreshes += u64::from(stat.refreshed);
-                    wasted += u64::from(stat.wasted);
-                    built += u64::from(probe.is_some() && !stat.reused);
-                    probes.push(probe);
-                }
-                self.telemetry.count("fleet_probes_built_total", built);
-                self.telemetry.count("fleet_spec_probes_reused_total", reused);
-                self.telemetry.count("fleet_staleness_revalidations_total", revalidations);
-                self.telemetry.count("fleet_staleness_refreshes_total", refreshes);
-                self.telemetry.count("fleet_spec_probes_wasted_total", wasted);
-                probes
-            }
-        };
+        });
+        self.telemetry.finish(build);
+        self.telemetry
+            .count("fleet_probes_built_total", probes.iter().flatten().count() as u64);
         let scoring = self.telemetry.stage(stage::FUSED_SCORING);
         let mut scores: Vec<Option<(f64, f64)>> = vec![None; self.shards.len()];
         if !self.config.fused_scoring {
@@ -501,19 +389,11 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
 
     /// The admission/placement decision: the shard with the best
     /// normalized potential delta whose arrival potential clears the
-    /// floor, or `None` (reject). `speculated` carries the epoch log's
-    /// probes for this arrival, if any — validated per shard inside the
-    /// fan, so the argmax runs over exactly the scores a fresh fan would
-    /// produce.
-    pub(crate) fn place(
-        &mut self,
-        model: ModelId,
-        speculated: Option<Vec<Option<SpecEntry>>>,
-    ) -> Option<(usize, f64)> {
+    /// floor, or `None` (reject).
+    pub(crate) fn place(&mut self, model: ModelId) -> Option<(usize, f64)> {
         let floor = self.config.admission_floor;
         let mut best: Option<(usize, f64)> = None;
-        for (s, score) in self.probe_scores_with(model, None, speculated).into_iter().enumerate()
-        {
+        for (s, score) in self.probe_scores(model).into_iter().enumerate() {
             let Some((delta, arrival_pot)) = score else { continue };
             if arrival_pot < floor {
                 continue;

@@ -8,15 +8,6 @@
 //! [`crate::Parallelism::Threads`] is bit-identical to the sequential
 //! reference's. The source's departure and then the destination's
 //! arrival are applied serially, as the sequential reference does.
-//!
-//! Under the apply-lane scheduler (`apply_lanes`, see `crate::lanes`)
-//! rebalancing is one of the *deferred checks* that ride the lane walk:
-//! it runs after each committed log position, exactly where the serial
-//! cursor would run it, and a migration it performs bumps both the
-//! source's and the destination's epochs — invalidating any later
-//! prepared op on those shards, which then discards and applies directly.
-//! A transfer it performs is itself a pair of direct applies, never a
-//! lane op: it reads cross-shard state, so it sequences with the walk.
 
 use crate::executor::{Disposition, FleetExecutor};
 use crate::load::RequestId;

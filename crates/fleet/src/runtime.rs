@@ -42,19 +42,12 @@
 //! Execution itself is **shard-parallel**: the executor
 //! ([`crate::executor`]) fans per-shard work — probe building,
 //! priority-rotation remaps, the rebalancer's health scan, the final
-//! timeline close — across worker threads, either between global event
-//! barriers ([`crate::Parallelism::Threads`]) or barrier-free over an
-//! epoch-sequenced lookahead window of the event log
-//! ([`crate::Parallelism::Async`]: arrivals are speculatively scored
-//! against bounded-staleness shard snapshots and every speculative probe
-//! is validated at apply time; with `apply_lanes: true` the apply side
-//! also retires out-of-order through per-shard lanes — prepared
-//! concurrently, committed in log order, see `docs/fleet.md`). Results
-//! merge in canonical shard order, so the outcome is bit-identical to
-//! [`crate::Parallelism::Sequential`] at any width, staleness bound,
-//! and lane setting (see the executor docs for the determinism
-//! argument, and `crates/fleet/tests/{parallel,async_exec}.rs` for the
-//! property tests).
+//! timeline close — across worker threads between global event barriers
+//! ([`crate::Parallelism::Threads`]). Results merge in canonical shard
+//! order, so the outcome is bit-identical to
+//! [`crate::Parallelism::Sequential`] at any width (see the executor
+//! docs for the determinism argument, and `crates/fleet/tests/parallel.rs`
+//! for the property tests).
 //!
 //! The fleet also survives **board failures** (see [`crate::FaultSpec`]
 //! and `docs/fleet.md`): a `ShardDown` event triages the failing shard's
@@ -171,10 +164,10 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is rejected by
-    /// [`FleetConfig::validate`] (e.g. an [`crate::Parallelism::Async`]
-    /// `max_epoch_lag` beyond [`crate::LOOKAHEAD_BOUND`]); use
-    /// [`FleetRuntime::try_new`] for the `Result` surface.
+    /// Panics with `invalid fleet config: {err}` when
+    /// [`FleetConfig::validate`] rejects the configuration (e.g. a zero
+    /// `probe_memo_capacity`); use [`FleetRuntime::try_new`] for the
+    /// `Result` surface.
     pub fn new(spec: &FleetSpec<'p, O>, config: FleetConfig) -> Self {
         match Self::try_new(spec, config) {
             Ok(fleet) => fleet,
@@ -189,10 +182,10 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     ///
     /// # Errors
     ///
-    /// Whatever [`FleetConfig::validate`] rejects — currently an
-    /// [`crate::Parallelism::Async`] `max_epoch_lag` above
-    /// [`crate::LOOKAHEAD_BOUND`], which the bounded lookahead window
-    /// could never realize.
+    /// Whatever [`FleetConfig::validate`] rejects: a zero
+    /// `probe_memo_capacity`, a zero `manager.plan_cache_capacity`, or a
+    /// non-positive `sample_dt` — each of which shard construction would
+    /// otherwise panic on.
     pub fn try_new(
         spec: &FleetSpec<'p, O>,
         config: FleetConfig,
@@ -408,6 +401,56 @@ mod tests {
 
     fn arrive(at: f64, k: u64, model: ModelId) -> FleetEvent {
         FleetEvent::Arrive { at, request: RequestId::new(k), model }
+    }
+
+    /// `try_new` rejects `config` with a typed error, and `new` panics
+    /// with that error's message; returns the error.
+    fn rejected(config: FleetConfig) -> FleetConfigError {
+        let p = Platform::orange_pi_5();
+        let o = AnalyticalOracle::new(&p);
+        let spec = FleetSpec::homogeneous(&p, &o, 2);
+        let err = FleetRuntime::try_new(&spec, config.clone()).err().expect("config rejected");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FleetRuntime::new(&spec, config)
+        }))
+        .err()
+        .expect("new panics on a rejected config");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert_eq!(*message, format!("invalid fleet config: {err}"));
+        err
+    }
+
+    #[test]
+    fn zero_probe_memo_capacity_is_a_config_error() {
+        let err = rejected(FleetConfig { probe_memo_capacity: 0, ..FleetConfig::default() });
+        assert_eq!(err, FleetConfigError::ZeroProbeMemoCapacity);
+        assert!(err.to_string().contains("probe_memo_capacity"), "{err}");
+    }
+
+    #[test]
+    fn zero_plan_cache_capacity_is_a_config_error() {
+        let config = FleetConfig {
+            manager: ManagerConfig { plan_cache_capacity: 0, ..Default::default() },
+            ..FleetConfig::default()
+        };
+        let err = rejected(config);
+        assert_eq!(err, FleetConfigError::ZeroPlanCacheCapacity);
+        assert!(err.to_string().contains("plan_cache_capacity"), "{err}");
+    }
+
+    #[test]
+    fn non_positive_sample_dt_is_a_config_error() {
+        for sample_dt in [0.0, -30.0] {
+            let err = rejected(FleetConfig { sample_dt, ..FleetConfig::default() });
+            assert_eq!(err, FleetConfigError::NonPositiveSampleDt { sample_dt });
+            assert!(err.to_string().contains("sample_dt"), "{err}");
+        }
+        let err = rejected(FleetConfig { sample_dt: f64::NAN, ..FleetConfig::default() });
+        assert!(
+            matches!(err, FleetConfigError::NonPositiveSampleDt { sample_dt } if sample_dt.is_nan()),
+            "{err:?}"
+        );
+        assert!(FleetConfig::default().validate().is_ok());
     }
 
     #[test]

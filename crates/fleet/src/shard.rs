@@ -12,7 +12,7 @@
 
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{
-    weighted_potential, DynamicEvent, InstanceId, PreparedApply, RankMapMapper, RuntimeSession,
+    weighted_potential, DynamicEvent, InstanceId, RankMapMapper, RuntimeSession,
 };
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
@@ -61,14 +61,11 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// memo entries (raw oracle predictions) stay valid across throttle
     /// changes.
     throttle: f64,
-    /// Bumped on every state mutation (`apply`, `commit`, `mark_down`) —
-    /// the staleness signal `crate::index::PlacementIndex` watches, so a
-    /// refresh only recomputes shards an event actually touched, and the
-    /// validity stamp of the apply-lane scheduler (a [`ShardPrepared`] is
-    /// committed only while the shard still sits at the stamped epoch).
-    /// Mutation funnels through `apply` and `commit` (revive and
-    /// set_throttle call `apply`), leaving `mark_down` as the only other
-    /// bump site.
+    /// Bumped on every state mutation (`apply`, `mark_down`) — the
+    /// staleness signal `crate::index::PlacementIndex` watches, so a
+    /// refresh only recomputes shards an event actually touched.
+    /// Mutation funnels through `apply` (revive and set_throttle call
+    /// it), leaving `mark_down` as the only other bump site.
     epoch: u64,
 }
 
@@ -240,121 +237,6 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
         self.session.apply(events, window, &mut self.mapper)
     }
 
-    /// The [`InstanceId`] this shard's next committed arrival will
-    /// receive — the identity pin the apply-lane scheduler records at
-    /// the log cursor, before the apply itself retires on the shard's
-    /// lane. Exact because instance ordinals advance only on
-    /// apply/commit, and the lane protocol admits at most one pending
-    /// apply per shard.
-    pub(crate) fn next_instance_id(&self) -> InstanceId {
-        self.session.peek_next_instance_id()
-    }
-
-    /// Runs the expensive half of [`Shard::apply`] — remap, migration
-    /// decision, event-engine evaluation — **without mutating the
-    /// shard**, capturing every effect (including the post-apply probe
-    /// memos) into a [`ShardPrepared`] stamped with the current epoch.
-    /// Lanes call this concurrently across disjoint shards; the serial
-    /// commit walk later installs each capture in log order via
-    /// [`Shard::commit`], or hands it to [`Shard::discard`] when an
-    /// intervening cross-shard decision bumped the epoch (the session
-    /// and the mapper's plan cache were never mutated — the speculative
-    /// remap's cache footprint rides the capture instead).
-    ///
-    /// `throttle` carries a derate override for `ShardThrottle` ops: the
-    /// session's derate is set for the duration of the prepare (so the
-    /// captured segment opens under the new factor, exactly as
-    /// [`Shard::set_throttle`] would) and restored afterwards — the
-    /// override only sticks on commit.
-    pub(crate) fn prepare(
-        &mut self,
-        at: f64,
-        events: &[DynamicEvent],
-        window: f64,
-        throttle: Option<f64>,
-    ) -> ShardPrepared {
-        debug_assert!(!self.down, "lanes never prepare an apply on a down shard");
-        let epoch_stamp = self.epoch;
-        let saved_derate = self.session.derate();
-        if let Some(factor) = throttle {
-            self.session.set_derate(factor);
-        }
-        // The remap inside the prepare reads AND writes the mapper's plan
-        // cache, and cache state (contents, LRU recency, counters) is an
-        // input of later remaps — so the speculation runs clone-and-swap:
-        // snapshot the cache, let the remap mutate it, then swap the
-        // pristine snapshot back and carry the mutated state in the
-        // capture. Commit installs it (valid stamp ⇒ nothing touched the
-        // cache in between, so it is exactly the serial apply's state);
-        // discard just drops it — crucially, a mid-walk decision that
-        // remapped this shard between prepare and discard (a rebalance
-        // migration, a shed) keeps its own cache footprint, which an
-        // in-place undo log would have clobbered.
-        let cache_pre = self.mapper.manager().plan_cache_snapshot();
-        let prepared = self.session.prepare_apply(at, events, window, &mut self.mapper);
-        let cache_post = self.mapper.manager().plan_cache_restore(cache_pre);
-        if throttle.is_some() {
-            self.session.set_derate(saved_derate);
-        }
-        // Rebuild the post-apply memos from the capture, by the same
-        // construction `Shard::current` uses — so a committed lane apply
-        // leaves memos bit-identical to an eager apply's next lazy fill.
-        let post_state: Option<ShardState> = if prepared.live().is_empty() {
-            None
-        } else {
-            let workload = Workload::from_ids(prepared.live().iter().map(|(_, m)| *m));
-            let per_dnn: Vec<Vec<ComponentId>> = prepared
-                .live()
-                .iter()
-                .map(|(id, _)| {
-                    prepared.placement(*id).expect("live instance placed").to_vec()
-                })
-                .collect();
-            Some(Arc::new((workload, Mapping::new(per_dnn))))
-        };
-        let post_prediction =
-            post_state.as_ref().map(|st| self.oracle.predict(&st.0, &st.1));
-        ShardPrepared { epoch_stamp, prepared, throttle, post_state, post_prediction, cache_post }
-    }
-
-    /// Drops a capture whose epoch stamp went stale. Discarding must
-    /// leave **no observable trace**: cache contents, LRU recency, and
-    /// hit/miss state all steer later remaps, so a leaked speculative
-    /// footprint would silently fork the lane run from the serial oracle
-    /// (the `fleet_async` bench's bit-identity assertion catches exactly
-    /// this). Under clone-and-swap the live cache never saw the
-    /// speculation, so dropping the capture — its `cache_post` included —
-    /// *is* the discard, and whatever the invalidating decision itself
-    /// wrote to this shard's cache stands untouched.
-    pub(crate) fn discard(&mut self, p: ShardPrepared) {
-        drop(p);
-    }
-
-    /// Installs a [`Shard::prepare`] capture. The caller proves validity
-    /// by the epoch stamp: no other mutation touched this shard since
-    /// the prepare. Equivalent to the eager [`Shard::apply`] (or
-    /// [`Shard::set_throttle`], when the capture carries an override) it
-    /// stands in for, memos and plan-cache state included.
-    pub(crate) fn commit(&mut self, p: ShardPrepared) -> Vec<InstanceId> {
-        debug_assert_eq!(
-            p.epoch_stamp, self.epoch,
-            "a prepared apply commits only at its stamped epoch"
-        );
-        self.incumbent_prediction = p.post_prediction;
-        self.current_state = Some(p.post_state);
-        self.trial_cache.clear();
-        self.epoch += 1;
-        if let Some(factor) = p.throttle {
-            self.throttle = factor;
-        }
-        // The valid stamp also proves the plan cache is still the
-        // prepare's pre-snapshot (every mid-walk decision that remaps a
-        // shard bumps its epoch), so installing the speculative post
-        // state lands the exact cache the serial apply would have built.
-        self.mapper.manager().plan_cache_restore(p.cache_post);
-        self.session.commit_apply(p.prepared)
-    }
-
     /// Byte key pinning every input of `build_probe` and
     /// [`Shard::mean_potential`]: platform group, throttle bits, live
     /// model ids in live order, and per-instance placements. Two up
@@ -385,31 +267,6 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     }
 }
 
-/// One prepared-but-uncommitted shard apply: the capture of the
-/// session mutation plus the rebuilt post-apply memos, stamped with the
-/// epoch it was prepared against. Inert `Send` data between
-/// [`Shard::prepare`] and [`Shard::commit`].
-pub(crate) struct ShardPrepared {
-    epoch_stamp: u64,
-    prepared: PreparedApply,
-    /// A `ShardThrottle` op's derate override, installed on commit.
-    throttle: Option<f64>,
-    post_state: Option<ShardState>,
-    post_prediction: Option<Vec<f64>>,
-    /// The plan cache as the prepare's speculative remap left it — the
-    /// live cache keeps the pre-snapshot until [`Shard::commit`] installs
-    /// this (or [`Shard::discard`] drops it).
-    cache_post: rankmap_core::plan_cache::PlanCache,
-}
-
-impl ShardPrepared {
-    /// The epoch of the owning shard when the prepare ran — the commit
-    /// walk's validity check.
-    pub(crate) fn epoch_stamp(&self) -> u64 {
-        self.epoch_stamp
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +280,5 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Shard<'static, AnalyticalOracle<'static>>>();
         assert_send::<ShardState>();
-        assert_send::<ShardPrepared>();
     }
 }

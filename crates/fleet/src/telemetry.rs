@@ -41,8 +41,7 @@ pub mod stage {
     pub const FUSED_SCORING: &str = "fused_scoring";
     /// Applying an admitted arrival to its shard (admissions only).
     pub const APPLY: &str = "apply";
-    /// Applying a departure to its shard (outside the apply lanes, which
-    /// time departures under `apply_prepare`/`apply_commit`).
+    /// Applying a departure to its shard.
     pub const DEPART_APPLY: &str = "depart_apply";
     /// Fleet-wide `SetPriorities` remap barrier.
     pub const REMAP: &str = "remap";
@@ -55,14 +54,6 @@ pub mod stage {
     pub const EVACUATION: &str = "evacuation";
     /// Incremental index refile sweep.
     pub const INDEX_REFILE: &str = "index_refile";
-    /// The epoch log's speculative scoring fan over a lookahead window.
-    pub const SPECULATE: &str = "speculate";
-    /// The apply-lane scheduler's parallel prepare fan (per-shard remap +
-    /// migration decision, computed without mutating the shards).
-    pub const APPLY_PREPARE: &str = "apply_prepare";
-    /// The apply-lane scheduler's serial commit walk (installing prepared
-    /// applies in log order, running the deferred per-position checks).
-    pub const APPLY_COMMIT: &str = "apply_commit";
 }
 
 /// The fully static counter key of a stage — a `match` rather than
@@ -78,9 +69,6 @@ fn entered_key(stage_name: &'static str) -> &'static str {
         stage::REBALANCE_MIGRATE => "fleet_stage_entered_total{stage=\"rebalance_migrate\"}",
         stage::EVACUATION => "fleet_stage_entered_total{stage=\"evacuation\"}",
         stage::INDEX_REFILE => "fleet_stage_entered_total{stage=\"index_refile\"}",
-        stage::SPECULATE => "fleet_stage_entered_total{stage=\"speculate\"}",
-        stage::APPLY_PREPARE => "fleet_stage_entered_total{stage=\"apply_prepare\"}",
-        stage::APPLY_COMMIT => "fleet_stage_entered_total{stage=\"apply_commit\"}",
         _ => "fleet_stage_entered_total{stage=\"other\"}",
     }
 }
@@ -205,14 +193,6 @@ impl FleetTelemetry {
         }
     }
 
-    /// Sets a (static-keyed) gauge — e.g. `fleet_lane_occupancy`, the
-    /// distinct shards retiring applies in the last drained lane batch.
-    pub(crate) fn gauge(&mut self, key: &'static str, value: f64) {
-        if self.spec.enabled {
-            self.registry.gauge_set(key, value);
-        }
-    }
-
     /// Appends a flight record; `Some(seq)` is usable as a later
     /// record's `cause`. Callers with non-trivial field payloads should
     /// guard construction with [`FleetTelemetry::enabled`].
@@ -237,7 +217,6 @@ impl FleetTelemetry {
         t: f64,
         shards: &mut [Shard<'_, O>],
         per_shard_admitted: &[u64],
-        epoch_lags: &[u64],
     ) {
         if !self.spec.enabled || t < self.next_sample {
             return;
@@ -269,13 +248,6 @@ impl FleetTelemetry {
             self.registry.gauge_set(
                 &labeled("fleet_shard_admitted", shard_label),
                 sample.admitted as f64,
-            );
-            // Last observed apply-time staleness of the epoch log's
-            // speculative probes (0 under the barrier modes, which never
-            // score ahead of an apply).
-            self.registry.gauge_set(
-                &labeled("fleet_shard_epoch_lag", shard_label),
-                epoch_lags[s] as f64,
             );
             self.series[s].push(t, sample);
         }
@@ -381,9 +353,6 @@ mod tests {
             stage::REBALANCE_MIGRATE,
             stage::EVACUATION,
             stage::INDEX_REFILE,
-            stage::SPECULATE,
-            stage::APPLY_PREPARE,
-            stage::APPLY_COMMIT,
         ];
         let keys: std::collections::BTreeSet<&str> =
             stages.iter().map(|s| entered_key(s)).collect();

@@ -2,8 +2,7 @@
 //!
 //! Every fleet bit-identity suite — `parallel.rs` (thread widths),
 //! `indexed.rs` (index vs full scan), `chaos.rs` (fault schedules),
-//! `telemetry.rs` (observation on/off), `async_exec.rs` (the epoch-log
-//! executor) — asks the same question: does some execution strategy
+//! `telemetry.rs` (observation on/off) — asks the same question: does some execution strategy
 //! reproduce the sequential reference **byte for byte** across a
 //! seeds × loads × faults matrix? This module owns the three shared
 //! pieces so the suites state only their strategy:
@@ -131,8 +130,7 @@ impl Scenario {
 
     /// The full load spec: a 240 s horizon, 90 s mean residency, and
     /// priority churn every ~80 s (the churn exercises the widest
-    /// barrier — every shard re-maps on a `SetPriorities` event — and,
-    /// under the epoch log, the speculation flush).
+    /// barrier — every shard re-maps on a `SetPriorities` event).
     pub fn load(&self) -> LoadSpec {
         LoadSpec {
             horizon: 240.0,

@@ -21,9 +21,10 @@ use common::{
 use proptest::prelude::*;
 use rankmap_core::oracle::AnalyticalOracle;
 use rankmap_fleet::{
-    generate, FaultSpec, FleetConfig, FleetOutcome, FleetRuntime, FleetSpec, LoadSpec,
-    Parallelism, ShardSpec,
+    generate, FaultSpec, FleetConfig, FleetEvent, FleetOutcome, FleetRuntime, FleetSpec,
+    LoadSpec, Parallelism, RequestId, ShardSpec, TelemetrySpec,
 };
+use rankmap_models::ModelId;
 use rankmap_platform::Platform;
 
 fn config(parallelism: Parallelism) -> FleetConfig {
@@ -168,5 +169,54 @@ fn forked_fan_outs_match_sequential() {
             assert!(threaded_threads > 1, "process {process_idx}: Threads(2) never forked");
         }
         assert_identical(&reference, &forked, &format!("forked Threads(2) process {process_idx}"));
+    }
+}
+
+/// The retry-before-event tie rule: a backoff retry that lands at
+/// exactly the timestamp of a stream event fires first (it was offered
+/// strictly earlier), and every executor width reproduces that
+/// interleaving bit for bit.
+#[test]
+fn retry_at_an_equal_timestamp_orders_before_the_event() {
+    // One single-slot shard: A occupies it, B rejects and schedules a
+    // retry at exactly t=10 — the same instant A departs. The retry
+    // fires first (B's slot request predates the departure), still finds
+    // the shard full (A departs only at the event *after* the retry),
+    // and finalizes as rejected; A's departure then frees the slot; C
+    // admits.
+    let platform = Platform::orange_pi_5();
+    let oracle = AnalyticalOracle::new(&platform);
+    let arrive = |at, id, model| FleetEvent::Arrive { at, request: RequestId::new(id), model };
+    let events = [
+        arrive(0.0, 0, ModelId::ResNet50),
+        arrive(1.0, 1, ModelId::MobileNet),
+        FleetEvent::Depart { at: 10.0, request: RequestId::new(0) },
+        arrive(11.0, 2, ModelId::AlexNet),
+    ];
+    let config = |parallelism| FleetConfig {
+        manager: quick_manager(),
+        max_per_shard: 1,
+        admission_floor: 0.0,
+        retry_limit: 1,
+        retry_backoff: 9.0,
+        telemetry: TelemetrySpec::on(),
+        parallelism,
+        ..Default::default()
+    };
+    let run = |parallelism| {
+        FleetRuntime::homogeneous(&platform, &oracle, 1, config(parallelism))
+            .execute(&events, 100.0)
+    };
+    let reference = run(Parallelism::Sequential);
+    assert_eq!(reference.metrics.retries, 1, "{:?}", reference.metrics);
+    assert_eq!(
+        reference.metrics.admitted, 2,
+        "B's equal-time retry must fire before A's departure frees the slot: {:?}",
+        reference.metrics
+    );
+    assert_eq!(reference.metrics.rejected, 1, "{:?}", reference.metrics);
+    for n in [1usize, 2, 4] {
+        let threaded = run(Parallelism::Threads(n));
+        assert_identical(&reference, &threaded, &format!("retry tie Threads({n})"));
     }
 }

@@ -2,16 +2,15 @@
 //! disabled, every deterministic output of a fleet run — the placement
 //! log, `FleetMetrics`, and every per-shard timeline — must be
 //! **bit-identical**, across seeds × load shapes × fault schedules ×
-//! executors (`Threads(n)` *and* the epoch-log `Async` executor). This
-//! is the companion property to `tests/parallel.rs`: threading is an
+//! executors (`Sequential` and `Threads(n)`). This is the companion
+//! property to `tests/parallel.rs`: threading is an
 //! execution strategy, telemetry is an observation strategy, and neither
 //! may be a policy. The scenario matrix and bit-compare come from the
 //! shared conformance harness (`tests/common/mod.rs`).
 //!
 //! The suite also sanity-checks the snapshot itself: counters that must
-//! agree with the deterministic metrics, the epoch-log ride-alongs
-//! (per-shard staleness gauges, revalidation counters), flight-recorder
-//! causality, and byte-stable exports on replay.
+//! agree with the deterministic metrics, flight-recorder causality,
+//! per-shard ring series, and byte-stable exports on replay.
 
 mod common;
 
@@ -66,8 +65,8 @@ proptest! {
     /// The headline property: telemetry on (even with wall-clock stage
     /// timing) never changes a decision — bit-identical placements,
     /// metrics, and timelines versus the telemetry-off reference, under
-    /// the sequential, threaded, and epoch-log async executors, with and
-    /// without fault injection.
+    /// the sequential and threaded executors, with and without fault
+    /// injection.
     #[test]
     fn telemetry_never_changes_a_decision(
         seed in 0u64..64,
@@ -78,29 +77,21 @@ proptest! {
         let reference = run(&spec, Parallelism::Sequential, TelemetrySpec::default());
         prop_assert!(reference.metrics.offered > 0);
         prop_assert!(reference.telemetry.is_none(), "disabled telemetry must cost nothing");
-        let async4 = Parallelism::Async { workers: 4, max_epoch_lag: 3, apply_lanes: false };
-        let lanes4 = Parallelism::Async { workers: 4, max_epoch_lag: 3, apply_lanes: true };
         for (label, parallelism, telemetry) in [
             ("seq+on", Parallelism::Sequential, TelemetrySpec::on()),
             ("seq+wall", Parallelism::Sequential, TelemetrySpec::on().with_wall_clock()),
             ("thr4+on", Parallelism::Threads(4), TelemetrySpec::on()),
             ("thr4+off", Parallelism::Threads(4), TelemetrySpec::default()),
-            ("async4+on", async4, TelemetrySpec::on()),
-            ("async4+off", async4, TelemetrySpec::default()),
-            ("lanes4+on", lanes4, TelemetrySpec::on()),
-            ("lanes4+off", lanes4, TelemetrySpec::default()),
         ] {
             let candidate = run(&spec, parallelism, telemetry);
             assert_identical(&reference, &candidate, &format!("{label} seed {seed}"));
             prop_assert_eq!(candidate.telemetry.is_some(), telemetry.enabled);
             if let Some(snap) = &candidate.telemetry {
-                // Every departure outside the apply lanes enters the
-                // `depart_apply` span exactly once (lanes time theirs
-                // under the prepare/commit stages), and with wall timing
-                // on each entry lands one sample in its histogram.
+                // Every departure enters the `depart_apply` span exactly
+                // once, and with wall timing on each entry lands one
+                // sample in its histogram.
                 let departs = snap.registry.counter(DEPART_APPLY_ENTERED);
-                let expected = if label.starts_with("lanes") { 0 } else { candidate.metrics.departed };
-                prop_assert_eq!(departs, expected, "{} seed {}", label, seed);
+                prop_assert_eq!(departs, candidate.metrics.departed, "{} seed {}", label, seed);
                 // Every rebalance migration's apply pair is one
                 // `rebalance_migrate` span, under every executor.
                 let migrations = snap.registry.counter(REBALANCE_MIGRATE_ENTERED);
@@ -183,100 +174,6 @@ fn snapshot_counters_agree_with_metrics_and_exports_replay_byte_stable() {
         replay_snap.flight_jsonl(),
         "flight-recorder export must be byte-stable across replays"
     );
-}
-
-/// The epoch-log ride-alongs: under `Parallelism::Async` the snapshot
-/// carries the speculation accounting — batches, probes built ahead,
-/// reuse/revalidation/refresh counters that reconcile, the `speculate`
-/// stage, and a per-shard `fleet_shard_epoch_lag` gauge — and none of it
-/// exists under the barrier executors, where no speculation runs.
-#[test]
-fn epoch_log_staleness_telemetry_rides_along() {
-    let spec = load(21, 0, true);
-    let outcome = run(
-        &spec,
-        Parallelism::Async { workers: 2, max_epoch_lag: 4, apply_lanes: false },
-        TelemetrySpec::on(),
-    );
-    let snap = outcome.telemetry.as_ref().expect("telemetry enabled");
-    let c = |k: &str| snap.registry.counter(k);
-    assert!(c("fleet_spec_batches_total") > 0, "async runs must speculate");
-    assert!(c("fleet_spec_probes_total") > 0);
-    assert!(c("fleet_stage_entered_total{stage=\"speculate\"}") > 0);
-    // Every speculated probe that reached a decision was either reused
-    // (possibly after revalidation) or refreshed; revalidations and
-    // refreshes are mutually exclusive per probe, so neither can exceed
-    // what was consulted.
-    let reused = c("fleet_spec_probes_reused_total");
-    let refreshed = c("fleet_staleness_refreshes_total");
-    assert!(reused > 0, "a 240 s run must reuse some speculated probes");
-    assert!(
-        c("fleet_staleness_revalidations_total") <= reused + refreshed,
-        "revalidations count a subset of consulted probes"
-    );
-    // The per-shard staleness gauge is sampled for every shard.
-    for s in 0..3 {
-        let key = format!("fleet_shard_epoch_lag{{shard=\"{s}\"}}");
-        assert!(
-            snap.registry.gauge(&key).is_some(),
-            "missing epoch-lag gauge for shard {s}"
-        );
-    }
-    // Barrier executors never speculate: the ride-along stays silent.
-    let barrier = run(&spec, Parallelism::Threads(2), TelemetrySpec::on());
-    let bsnap = barrier.telemetry.as_ref().expect("telemetry enabled");
-    assert_eq!(bsnap.registry.counter("fleet_spec_batches_total"), 0);
-    assert_eq!(bsnap.registry.counter("fleet_staleness_revalidations_total"), 0);
-    assert_eq!(bsnap.registry.counter("fleet_staleness_refreshes_total"), 0);
-}
-
-/// The apply-lane ride-alongs: with `apply_lanes: true` the snapshot
-/// carries the lane accounting — batch/op counters, the occupancy gauge,
-/// the split apply stages — and the speculation-waste counter reconciles
-/// with what the validator refreshed and the `SetPriorities` flushes
-/// dropped. With lanes off, the lane families stay silent.
-#[test]
-fn apply_lane_telemetry_rides_along() {
-    let spec = load(21, 0, true);
-    let outcome = run(
-        &spec,
-        Parallelism::Async { workers: 2, max_epoch_lag: 4, apply_lanes: true },
-        TelemetrySpec::on(),
-    );
-    let snap = outcome.telemetry.as_ref().expect("telemetry enabled");
-    let c = |k: &str| snap.registry.counter(k);
-    assert!(c("fleet_lane_batches_total") > 0, "lane runs must batch applies");
-    assert!(c("fleet_lane_ops_total") > 0, "lane batches must carry shard ops");
-    assert!(
-        c("fleet_stage_entered_total{stage=\"apply_prepare\"}") > 0,
-        "the out-of-order prepare stage must be entered"
-    );
-    assert!(
-        c("fleet_stage_entered_total{stage=\"apply_commit\"}") > 0,
-        "the in-order commit stage must be entered"
-    );
-    assert!(
-        snap.registry.gauge("fleet_lane_occupancy").is_some(),
-        "lane flushes must publish the occupancy gauge"
-    );
-    // Waste accounting: every wasted probe was either refreshed by the
-    // validator, masked/skipped at admission, or dropped by a flush — so
-    // waste at least covers the refreshes.
-    assert!(
-        c("fleet_spec_probes_wasted_total") >= c("fleet_staleness_refreshes_total"),
-        "refreshed probes are wasted speculation"
-    );
-    // Lanes off: the same stream publishes no lane families.
-    let serial_apply = run(
-        &spec,
-        Parallelism::Async { workers: 2, max_epoch_lag: 4, apply_lanes: false },
-        TelemetrySpec::on(),
-    );
-    let ssnap = serial_apply.telemetry.as_ref().expect("telemetry enabled");
-    assert_eq!(ssnap.registry.counter("fleet_lane_batches_total"), 0);
-    assert_eq!(ssnap.registry.counter("fleet_lane_ops_total"), 0);
-    assert_eq!(ssnap.registry.counter("fleet_lane_discards_total"), 0);
-    assert!(ssnap.registry.gauge("fleet_lane_occupancy").is_none());
 }
 
 /// Flight-recorder causality: every `evacuate`/`shed` record of an
