@@ -102,9 +102,6 @@ pub struct FleetConfig {
     /// ideal rate) an arrival must reach on its best candidate shard to
     /// be admitted; below it the request is rejected.
     pub admission_floor: f64,
-    /// Expected residency window handed to shard sessions as the remap
-    /// decision's integration horizon (seconds).
-    pub decision_window: f64,
     /// A shard whose mean predicted potential falls below this value is a
     /// rebalance candidate.
     pub rebalance_threshold: f64,
@@ -113,8 +110,6 @@ pub struct FleetConfig {
     pub rebalance_margin: f64,
     /// Remap-gain objective of every shard runtime.
     pub objective: GainObjective,
-    /// Migration awareness of every shard runtime.
-    pub migration_aware: bool,
     /// Whether placement probes are answered through one fused
     /// [`ThroughputOracle::predict_grouped`] call per platform group
     /// (with duplicate probes deduplicated) instead of one
@@ -245,11 +240,9 @@ impl Default for FleetConfig {
             },
             max_per_shard: 5,
             admission_floor: 0.05,
-            decision_window: 60.0,
             rebalance_threshold: 0.3,
             rebalance_margin: 0.05,
             objective: GainObjective::default(),
-            migration_aware: true,
             fused_scoring: true,
             parallelism: Parallelism::default(),
             probe_memo_capacity: PROBE_MEMO_BOUND,
@@ -410,8 +403,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         for (g, group) in spec.groups().iter().enumerate() {
             group_oracles.push(group.oracle);
             let runtime = DynamicRuntime::new(group.platform, config.sample_dt)
-                .with_gain_objective(config.objective)
-                .with_migration_awareness(config.migration_aware);
+                .with_gain_objective(config.objective);
             // One record per group: the ideal rates and the report memo
             // every shard of the group shares.
             let board = runtime.board(ideal_rates(group.platform, &ModelId::all()));
@@ -507,15 +499,13 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         horizon: f64,
         state: &mut RunState,
     ) {
-        let window = self.config.decision_window;
         let started = Instant::now();
         let decision = self.place(model);
         state.latencies.record(started.elapsed().as_secs_f64());
         match decision {
             Some((s, delta)) => {
                 let timer = self.telemetry.stage(stage::APPLY);
-                let instance =
-                    self.shards[s].apply(t, &[DynamicEvent::arrive(t, model)], window)[0];
+                let instance = self.shards[s].apply(t, &[DynamicEvent::arrive(t, model)])[0];
                 self.telemetry.finish(timer);
                 state
                     .requests
@@ -601,7 +591,6 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
     /// Handles one stream event at its timestamp `t`.
     fn handle_event(&mut self, event: &FleetEvent, horizon: f64, state: &mut RunState) {
         let t = event.at();
-        let window = self.config.decision_window;
         match event {
             FleetEvent::Arrive { request, model, .. } => {
                 self.admission_attempt(t, *request, *model, 0, horizon, state);
@@ -613,11 +602,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                         state.departed += 1;
                         self.telemetry.count("fleet_departed_total", 1);
                         let timer = self.telemetry.stage(stage::DEPART_APPLY);
-                        self.shards[shard].apply(
-                            t,
-                            &[DynamicEvent::depart(t, instance)],
-                            window,
-                        );
+                        self.shards[shard].apply(t, &[DynamicEvent::depart(t, instance)]);
                         self.telemetry.finish(timer);
                     }
                     Some(Disposition::Retrying) => {
@@ -639,7 +624,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 let timer = self.telemetry.stage(stage::REMAP);
                 let ev = [DynamicEvent::SetPriorities { at: t, mode: mode.clone() }];
                 for_each_shard(self.config.parallelism, &mut self.shards, |_, shard| {
-                    shard.apply(t, &ev, window);
+                    shard.apply(t, &ev);
                 });
                 self.telemetry.finish(timer);
                 self.telemetry.record(t, "set_priorities", None, Vec::new());
@@ -666,7 +651,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             }
             FleetEvent::ShardUp { shard, .. } => {
                 if self.shards[*shard].is_down() {
-                    self.shards[*shard].revive(t, window);
+                    self.shards[*shard].revive(t);
                     if self.telemetry.enabled() {
                         self.telemetry.record(
                             t,
@@ -683,7 +668,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 // nominal speed — and re-asserting the current factor is
                 // an idempotent no-op.
                 if !target.is_down() && target.throttle() != *factor {
-                    target.set_throttle(t, *factor, window);
+                    target.set_throttle(t, *factor);
                     state.throttle_events += 1;
                     if self.telemetry.enabled() {
                         self.telemetry.record(
@@ -707,7 +692,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
     /// runs stay bit-identical). Runs after every stream event and every
     /// retry.
     pub(crate) fn after_event(&mut self, t: f64, state: &mut RunState) {
-        if let Some((src, dst)) = self.maybe_rebalance(t, &mut state.requests) {
+        if let Some((src, dst)) = self.maybe_rebalance(t, state) {
             state.migrations += 1;
             state.per_shard_admitted[dst] += 1;
             self.telemetry.count("fleet_migrations_total", 1);

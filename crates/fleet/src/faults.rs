@@ -35,10 +35,10 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
     /// The request owning `(shard, instance)`, if any. The pair is unique
     /// across the run, so the map scan has exactly one possible answer
     /// (deterministic despite the hash map's iteration order).
-    fn owner_of(state: &RunState, shard: usize, instance: InstanceId) -> Option<RequestId> {
+    pub(crate) fn owner_of(state: &RunState, shard: usize, id: InstanceId) -> Option<RequestId> {
         state.requests.iter().find_map(|(r, d)| {
             matches!(d, Disposition::Active { shard: s, instance: i }
-                     if *s == shard && *i == instance)
+                     if *s == shard && *i == id)
             .then_some(*r)
         })
     }
@@ -61,7 +61,6 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         state: &mut RunState,
         cause: Option<u64>,
     ) {
-        let window = self.config.decision_window;
         let live: Vec<_> = self.shards[src].session.live().to_vec();
         // Triage before anything moves: priority weights on the failing
         // shard's own workload, ranked descending (ties by instance
@@ -77,7 +76,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         if !live.is_empty() {
             let departs: Vec<DynamicEvent> =
                 live.iter().map(|&(id, _)| DynamicEvent::depart(t, id)).collect();
-            self.shards[src].apply(t, &departs, window);
+            self.shards[src].apply(t, &departs);
         }
         self.shards[src].mark_down();
         // Re-place highest priority first: earlier victims see the most
@@ -105,11 +104,8 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             };
             match destination {
                 Some((dst, delta)) => {
-                    let assigned = self.shards[dst].apply(
-                        t,
-                        &[DynamicEvent::arrive(t, victim_model)],
-                        window,
-                    );
+                    let assigned =
+                        self.shards[dst].apply(t, &[DynamicEvent::arrive(t, victim_model)]);
                     // An evacuation is a real migration: the receiving
                     // board pays the victim's full weight restage + stem
                     // rebuild over its own transfer link.
@@ -190,7 +186,6 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         if guard <= 0.0 {
             return;
         }
-        let window = self.config.decision_window;
         // The rebalancer's health question, shared via `worst_loaded`
         // (indexed O(log S) read or the parallel scan). Down shards are
         // empty and report no health either way.
@@ -212,7 +207,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         };
         let (victim_id, _) = self.shards[src].session.live()[victim_idx];
         let owner = Self::owner_of(state, src, victim_id);
-        self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)], window);
+        self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)]);
         state.shed += 1;
         self.telemetry.count("fleet_shed_total", 1);
         if self.telemetry.enabled() {

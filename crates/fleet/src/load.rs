@@ -1,7 +1,7 @@
 //! Trace-driven load generation for a fleet of device shards.
 //!
-//! [`generate`] turns a [`LoadSpec`] into a sorted, deterministic stream
-//! of [`FleetEvent`]s: arrivals drawn from a configurable
+//! [`LoadStream`] turns a [`LoadSpec`] into a sorted, deterministic
+//! stream of [`FleetEvent`]s: arrivals drawn from a configurable
 //! [`ArrivalProcess`] (Poisson, bursty on/off, or diurnal), exponential
 //! lifetimes, and optional fleet-wide priority churn — the same
 //! primitives as the per-board scenario engine
@@ -16,10 +16,10 @@
 //! [`Popularity::Zipf`] model skew, [`FlashSpec`] flash crowds, and
 //! [`TenantSpec`] correlated multi-tenant bursts.
 //!
-//! For million-instance horizons, [`LoadStream`] is the pull-based twin
-//! of [`generate`]: it yields the byte-identical event sequence without
-//! ever materializing it, holding only O(live instances + burst
-//! episodes) state regardless of horizon length.
+//! The stream is pull-based: it holds only O(live instances + burst
+//! episodes) state regardless of horizon length, so million-instance
+//! horizons never materialize. [`generate`] collects it into a `Vec`
+//! for callers that want the whole log at once.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,72 +168,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Draws the arrival times in `[0, horizon)`, in order.
-    fn sample_times<R: Rng + ?Sized>(&self, rng: &mut R, horizon: f64) -> Vec<f64> {
-        let mut times = Vec::new();
-        match *self {
-            ArrivalProcess::Poisson { rate } => {
-                assert!(rate > 0.0, "Poisson rate must be positive");
-                let mut t = 0.0;
-                loop {
-                    t += exponential(rng, rate);
-                    if t >= horizon {
-                        break;
-                    }
-                    times.push(t);
-                }
-            }
-            ArrivalProcess::OnOff { burst_rate, idle_rate, mean_burst, mean_idle } => {
-                assert!(burst_rate > 0.0, "burst rate must be positive");
-                assert!(idle_rate >= 0.0, "idle rate cannot be negative");
-                assert!(
-                    mean_burst > 0.0 && mean_idle > 0.0,
-                    "phase durations must be positive"
-                );
-                let mut t = 0.0;
-                let mut bursting = true;
-                while t < horizon {
-                    let phase_end =
-                        t + exponential(rng, 1.0 / if bursting { mean_burst } else { mean_idle });
-                    let rate = if bursting { burst_rate } else { idle_rate };
-                    if rate > 0.0 {
-                        let mut s = t;
-                        loop {
-                            s += exponential(rng, rate);
-                            if s >= phase_end.min(horizon) {
-                                break;
-                            }
-                            times.push(s);
-                        }
-                    }
-                    t = phase_end;
-                    bursting = !bursting;
-                }
-            }
-            ArrivalProcess::Diurnal { mean_rate, amplitude, period } => {
-                assert!(mean_rate > 0.0, "mean rate must be positive");
-                assert!((0.0..=1.0).contains(&amplitude), "amplitude must be in [0, 1]");
-                assert!(period > 0.0, "period must be positive");
-                // Thinning (Lewis & Shedler): candidates at the peak rate,
-                // accepted with probability rate(t)/peak.
-                let peak = mean_rate * (1.0 + amplitude);
-                let mut t = 0.0;
-                loop {
-                    t += exponential(rng, peak);
-                    if t >= horizon {
-                        break;
-                    }
-                    let rate = mean_rate
-                        * (1.0 + amplitude * (2.0 * std::f64::consts::PI * t / period).sin());
-                    if rng.gen_range(0.0..1.0) < rate / peak {
-                        times.push(t);
-                    }
-                }
-            }
-        }
-        times
-    }
-
     /// The time-averaged offered arrival rate (per second) — what "fixed
     /// offered load" means when scaling shard counts in the bench.
     pub fn mean_rate(&self) -> f64 {
@@ -247,11 +181,8 @@ impl ArrivalProcess {
     }
 }
 
-/// The lazy twin of [`ArrivalProcess::sample_times`]: walks the identical
-/// RNG draw sequence but yields arrival times one at a time instead of
-/// materializing the vector. `generate` keeps calling the eager version,
-/// so the `LoadStream` ≡ `generate` equivalence test pins this walk
-/// byte-for-byte against it.
+/// The base arrival times in `[0, horizon)`, drawn one at a time, in
+/// order, from the process's own RNG.
 struct TimeWalk {
     rng: StdRng,
     horizon: f64,
@@ -284,7 +215,8 @@ enum WalkState {
 }
 
 impl TimeWalk {
-    /// Starts the walk (same parameter panics as the eager sampler).
+    /// Starts the walk. Panics on invalid process parameters, the one
+    /// place they are checked.
     fn new(process: ArrivalProcess, horizon: f64, rng: StdRng) -> Self {
         let state = match process {
             ArrivalProcess::Poisson { rate } => {
@@ -324,9 +256,9 @@ impl TimeWalk {
         Self { rng, horizon, done: false, state }
     }
 
-    /// The RNG after the walk completed — positioned exactly where
-    /// `sample_times` leaves its caller's RNG. Used by `LoadStream`'s
-    /// construction to place the per-arrival and churn RNG clones.
+    /// The RNG after the walk completed, positioned past every time
+    /// draw. Used by `LoadStream`'s construction to place the
+    /// per-arrival and churn RNG clones.
     fn into_rng(self) -> StdRng {
         debug_assert!(self.done, "drain the walk before taking its RNG");
         self.rng
@@ -552,9 +484,8 @@ impl Default for TenantSpec {
 
 /// SplitMix64-style derivation of one episode's RNG seed from its
 /// layer seed and episode index. Giving each episode its **own** seeded
-/// RNG makes the draw values independent of expansion order, so the
-/// eager (`generate`) and lazily heap-merged (`LoadStream`) paths agree
-/// value-for-value by construction.
+/// RNG makes its draw values independent of how the stream's heap
+/// merge interleaves it with other episodes.
 fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -597,7 +528,6 @@ struct OverlayArrival {
     at: f64,
     layer: u8,
     ep: u64,
-    seq: u64,
     model: ModelId,
     leave: Option<f64>,
 }
@@ -607,14 +537,13 @@ struct EpisodeCursor {
     ep: BurstEpisode,
     rng: StdRng,
     t: f64,
-    seq: u64,
 }
 
 impl EpisodeCursor {
     fn new(ep: BurstEpisode) -> Self {
         let rng = StdRng::seed_from_u64(ep.seed);
         let t = ep.start;
-        Self { ep, rng, t, seq: 0 }
+        Self { ep, rng, t }
     }
 
     /// The episode's next arrival, or `None` when it runs out.
@@ -636,9 +565,7 @@ impl EpisodeCursor {
         let leave = (self.ep.mean_lifetime > 0.0)
             .then(|| self.t + exponential(&mut self.rng, 1.0 / self.ep.mean_lifetime))
             .filter(|&leave| leave < horizon);
-        let seq = self.seq;
-        self.seq += 1;
-        Some(OverlayArrival { at: self.t, layer: self.ep.layer, ep: self.ep.idx, seq, model, leave })
+        Some(OverlayArrival { at: self.t, layer: self.ep.layer, ep: self.ep.idx, model, leave })
     }
 }
 
@@ -1017,7 +944,7 @@ impl Default for LoadSpec {
     }
 }
 
-/// Generates a sorted, valid fleet event stream for a [`LoadSpec`].
+/// Collects the whole [`LoadStream`] for a [`LoadSpec`] into a `Vec`.
 ///
 /// Guarantees: event times are non-decreasing and within `[0, horizon)`;
 /// every departure names a request that arrived strictly earlier and
@@ -1025,120 +952,28 @@ impl Default for LoadSpec {
 ///
 /// # Panics
 ///
-/// Panics if the (mix-filtered) pool is empty, `horizon <= 0`, or the
-/// process parameters are invalid.
+/// Same contract as [`LoadStream::new`]: panics if the (mix-filtered)
+/// pool is empty, `horizon <= 0`, or any layer's parameters are invalid.
 pub fn generate(spec: &LoadSpec) -> Vec<FleetEvent> {
-    assert!(spec.horizon > 0.0, "horizon must be positive");
-    let pool = mix_pool(&spec.pool, spec.mix);
-    assert!(!pool.is_empty(), "load pool must not be empty");
-    let sampler = ModelSampler::new(&pool, spec.popularity);
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-
-    // Base arrivals, drawn in base time order (layer 0; the episode slot
-    // carries the base ordinal so equal-time base arrivals keep draw
-    // order through the merge sort below). Under `Popularity::Uniform`
-    // the sampler makes the identical single RNG call the original code
-    // did, so pre-existing specs stay byte-identical.
-    let times = spec.process.sample_times(&mut rng, spec.horizon);
-    let mut arrivals: Vec<OverlayArrival> = Vec::with_capacity(times.len());
-    for (k, &at) in times.iter().enumerate() {
-        let model = sampler.draw(&mut rng);
-        let leave = (spec.mean_lifetime > 0.0)
-            .then(|| at + exponential(&mut rng, 1.0 / spec.mean_lifetime))
-            .filter(|&leave| leave < spec.horizon);
-        arrivals.push(OverlayArrival { at, layer: 0, ep: k as u64, seq: 0, model, leave });
-    }
-
-    // Overlay layers expand eagerly here (lazily in [`LoadStream`]) from
-    // per-episode derived seeds, so both paths draw identical values.
-    for episodes in [
-        spec.flash.as_ref().map(|f| f.episodes(spec.horizon, &pool)),
-        spec.tenants.as_ref().map(|t| t.episodes(spec.horizon, &pool)),
-    ]
-    .into_iter()
-    .flatten()
-    {
-        for ep in episodes {
-            let mut cursor = EpisodeCursor::new(ep);
-            while let Some(arrival) = cursor.next_arrival(spec.horizon, &sampler) {
-                arrivals.push(arrival);
-            }
-        }
-    }
-    // Canonical merge order — time, then layer (base < flash < tenants),
-    // then episode, then within-episode sequence — matches the order the
-    // stream's heap merge emits, so dense request ids agree across paths.
-    arrivals.sort_by(|a, b| {
-        a.at.total_cmp(&b.at)
-            .then(a.layer.cmp(&b.layer))
-            .then(a.ep.cmp(&b.ep))
-            .then(a.seq.cmp(&b.seq))
-    });
-
-    let mut events: Vec<FleetEvent> = Vec::with_capacity(arrivals.len() * 2);
-    let mut departures: Vec<(f64, RequestId)> = Vec::new();
-    for (k, arrival) in arrivals.iter().enumerate() {
-        let request = RequestId::new(k as u64);
-        events.push(FleetEvent::Arrive { at: arrival.at, request, model: arrival.model });
-        if let Some(leave) = arrival.leave {
-            departures.push((leave, request));
-        }
-    }
-    for &(at, request) in &departures {
-        events.push(FleetEvent::Depart { at, request });
-    }
-
-    if spec.priority_churn_rate > 0.0 {
-        // Arrival times are already sorted; sort departure times once so
-        // each churn event's live count is two binary searches, not a
-        // scan of the whole stream.
-        let arrival_times: Vec<f64> = arrivals.iter().map(|a| a.at).collect();
-        let mut departure_times: Vec<f64> = departures.iter().map(|&(dt, _)| dt).collect();
-        departure_times.sort_by(f64::total_cmp);
-        let mut ct = 0.0;
-        let mut rotation = 0usize;
-        loop {
-            ct += exponential(&mut rng, spec.priority_churn_rate);
-            if ct >= spec.horizon {
-                break;
-            }
-            let live = arrival_times.partition_point(|&at| at <= ct)
-                - departure_times.partition_point(|&dt| dt <= ct);
-            let mode = if live == 0 || rotation % (live + 1) == live {
-                PriorityMode::Dynamic
-            } else {
-                PriorityMode::critical(live, rotation % live)
-            };
-            rotation += 1;
-            events.push(FleetEvent::SetPriorities { at: ct, mode });
-        }
-    }
-
-    if let Some(faults) = &spec.faults {
-        // The fault layer draws from its own seeded RNG, so the arrival
-        // stream above is byte-identical with or without it.
-        events.extend(faults.generate(spec.horizon));
-    }
-
-    events.sort_by(|a, b| a.at().total_cmp(&b.at()));
-    events
+    LoadStream::new(spec).collect()
 }
 
-/// The streaming twin of [`generate`]: an iterator yielding the
-/// **byte-identical** event sequence without materializing it.
+/// The load generator: an iterator over a [`LoadSpec`]'s sorted event
+/// stream that never materializes it.
 ///
-/// `generate` holds every arrival, departure, and churn event of the
-/// whole horizon in memory before sorting; at bench scale (10⁵–10⁶
-/// instance lifetimes) that vector dominates the run's footprint. The
-/// stream instead replays the exact RNG draw sequence lazily:
+/// At bench scale (10⁵–10⁶ instance lifetimes) a vector of every
+/// arrival, departure and churn event would dominate a run's footprint,
+/// so the stream draws lazily. Its RNG draw order is fixed, and every
+/// recorded trace and benchmark event log depends on it: all base
+/// arrival times first, then each base arrival's model and lifetime in
+/// arrival order, then the churn times. The stream keeps that order
+/// while drawing on demand:
 ///
 /// * **Arrival times** walk the process incrementally (the internal
-///   `TimeWalk`, pinned against the eager sampler by the equivalence
-///   tests).
+///   `TimeWalk`).
 /// * **Per-arrival draws** (model, lifetime) come from a second RNG
-///   clone positioned by draining the time walk once at construction —
-///   `generate` draws them *after* all time draws, so position, not
-///   interleaving, is what matters.
+///   clone, positioned past every time draw by draining one time walk
+///   at construction.
 /// * **Churn draws** come from a third clone positioned past the
 ///   per-arrival draws the same way.
 /// * **Overlay arrivals** expand per episode from derived seeds and
@@ -1146,22 +981,33 @@ pub fn generate(spec: &LoadSpec) -> Vec<FleetEvent> {
 /// * **Departures** wait in a min-heap keyed `(time, request ordinal)` —
 ///   O(live instances), the stream's only load-proportional state.
 ///
-/// Equal-timestamp ordering replicates `generate`'s stable sort: kind
-/// rank (arrive < depart < churn < fault), then within-kind order.
-/// Fault events and overlay episode *descriptors* are materialized up
-/// front — both are sparse (outages and bursts, not arrivals) — so peak
-/// buffered event state is independent of how many instances the
-/// horizon offers ([`LoadStream::peak_buffered`] measures it, and the
-/// bounded-buffer test asserts it).
+/// Equal timestamps order by kind (arrive < depart < churn < fault),
+/// then by order within the kind. Fault events and overlay episode
+/// *descriptors* are materialized up front — both are sparse (outages
+/// and bursts, not arrivals) — so peak buffered event state is
+/// independent of how many instances the horizon offers
+/// ([`LoadStream::peak_buffered`] measures it, and the bounded-buffer
+/// test asserts it). The golden pins in `tests/load_stream.rs` hold the
+/// stream to the exact events it has always produced.
 ///
 /// # Example
 ///
-/// ```
-/// use rankmap_fleet::{generate, LoadSpec, LoadStream};
+/// A long horizon streams in buffered state that tracks the live
+/// instances, not the offered load:
 ///
-/// let spec = LoadSpec { horizon: 300.0, ..Default::default() };
-/// let streamed: Vec<_> = LoadStream::new(&spec).collect();
-/// assert_eq!(streamed, generate(&spec));
+/// ```
+/// use rankmap_fleet::{ArrivalProcess, FleetEvent, LoadSpec, LoadStream};
+///
+/// let spec = LoadSpec {
+///     horizon: 10_000.0,
+///     process: ArrivalProcess::Poisson { rate: 0.5 },
+///     mean_lifetime: 20.0,
+///     ..Default::default()
+/// };
+/// let mut stream = LoadStream::new(&spec);
+/// let arrivals = stream.by_ref().filter(|e| matches!(e, FleetEvent::Arrive { .. })).count();
+/// assert!(arrivals > 4_000);
+/// assert!(stream.peak_buffered() < 100, "about rate × lifetime = 10 live instances");
 /// ```
 pub struct LoadStream {
     horizon: f64,
@@ -1179,7 +1025,7 @@ pub struct LoadStream {
     overlay_heap: BinaryHeap<Reverse<(u64, u8, u64, usize)>>,
     /// In-horizon departures awaiting emission: `(time bits, ordinal)`.
     departures: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Positioned past all per-arrival draws; `None` disables churn.
+    /// Positioned past all per-arrival draws; a zero rate disables churn.
     churn_rng: StdRng,
     churn_rate: f64,
     churn_t: f64,
@@ -1194,14 +1040,14 @@ pub struct LoadStream {
 }
 
 impl LoadStream {
-    /// Builds the stream for a spec. Construction drains the time walk
-    /// twice (cheap, allocation-free) to position the per-arrival and
-    /// churn RNG clones exactly where `generate` would have them.
+    /// Builds the stream for a spec. Construction drains one time walk
+    /// (cheap, allocation-free) to position the per-arrival and churn
+    /// RNG clones.
     ///
     /// # Panics
     ///
-    /// Same contract as [`generate`]: panics if the (mix-filtered) pool
-    /// is empty, `horizon <= 0`, or any layer's parameters are invalid.
+    /// Panics if the (mix-filtered) pool is empty, `horizon <= 0`, or
+    /// any layer's parameters are invalid.
     pub fn new(spec: &LoadSpec) -> Self {
         assert!(spec.horizon > 0.0, "horizon must be positive");
         let pool = mix_pool(&spec.pool, spec.mix);
@@ -1210,15 +1056,8 @@ impl LoadStream {
 
         // Position the per-arrival RNG: drain one walk to count arrivals
         // and land exactly past the time draws.
-        let mut probe = TimeWalk::new(
-            spec.process,
-            spec.horizon,
-            StdRng::seed_from_u64(spec.seed),
-        );
-        let mut arrival_count = 0u64;
-        while probe.next().is_some() {
-            arrival_count += 1;
-        }
+        let mut probe = TimeWalk::new(spec.process, spec.horizon, StdRng::seed_from_u64(spec.seed));
+        let arrival_count = probe.by_ref().count();
         let marks_rng = probe.into_rng();
 
         // Position the churn RNG past the per-arrival draws (one model
@@ -1232,11 +1071,7 @@ impl LoadStream {
         }
 
         // The live walk the iterator consumes, plus its lookahead.
-        let mut walk = TimeWalk::new(
-            spec.process,
-            spec.horizon,
-            StdRng::seed_from_u64(spec.seed),
-        );
+        let mut walk = TimeWalk::new(spec.process, spec.horizon, StdRng::seed_from_u64(spec.seed));
         let base_next = walk.next();
 
         // Overlay cursors: episode descriptors are materialized (sparse),
@@ -1324,7 +1159,7 @@ impl LoadStream {
     }
 
     /// Emits the next merged arrival (base beats overlays on time ties —
-    /// layer 0 sorts first, matching `generate`'s merge sort).
+    /// layer 0 sorts first).
     fn emit_arrival(&mut self) -> FleetEvent {
         let take_base = match (self.base_next, self.overlay_heap.peek()) {
             (Some(t), Some(Reverse((bits, _, _, _)))) => t.to_bits() <= *bits,
@@ -1364,9 +1199,9 @@ impl Iterator for LoadStream {
     type Item = FleetEvent;
 
     fn next(&mut self) -> Option<FleetEvent> {
-        // Candidates from the four sources, each tagged with the kind
-        // rank `generate`'s stable sort gives equal timestamps: arrivals
-        // pushed first, then departures, churn, faults.
+        // Candidates from the four sources, each tagged with its kind
+        // rank, which orders equal timestamps: arrivals, then
+        // departures, churn, faults.
         let arrival = self.peek_arrival().map(|(bits, _, _)| (bits, 0u8));
         let depart = self.departures.peek().map(|Reverse((bits, _))| (*bits, 1u8));
         let churn = self.churn_next.map(|t| (t.to_bits(), 2u8));
@@ -1381,9 +1216,9 @@ impl Iterator for LoadStream {
             }
             2 => {
                 let at = self.churn_next.take().expect("churn pending");
-                // Arrivals at or before `at` have all been emitted (kind
-                // rank 0 < 2), so the emission counters reproduce
-                // `generate`'s binary-searched live count exactly.
+                // Arrivals and departures at or before `at` have all been
+                // emitted (kind ranks 0, 1 < 2), so the emission counters
+                // are the live count at `at`.
                 let live = (self.arrivals_emitted - self.departures_emitted) as usize;
                 let mode = if live == 0 || self.rotation % (live + 1) == live {
                     PriorityMode::Dynamic
@@ -1657,6 +1492,31 @@ mod tests {
             }
         }
         assert!(episodes >= 3, "the walk must produce real episodes: {episodes}");
+    }
+
+    #[test]
+    fn equal_timestamps_order_by_kind() {
+        // No spec ties two kinds (their times are independent continuous
+        // draws), so the rank is pinned on a stream whose pending
+        // arrival, departure, churn and fault are set to one instant.
+        let spec = LoadSpec { priority_churn_rate: 0.1, ..Default::default() };
+        let mut stream = LoadStream::new(&spec);
+        let at = 1e-9;
+        stream.base_next = Some(at);
+        stream.departures.push(Reverse((at.to_bits(), 0)));
+        (stream.churn_t, stream.churn_next) = (at, Some(at));
+        stream.faults = vec![FleetEvent::ShardDown { at, shard: 0 }];
+        let kinds: Vec<&str> = stream
+            .take(4)
+            .inspect(|e| assert_eq!(e.at(), at, "{e:?}"))
+            .map(|e| match e {
+                FleetEvent::Arrive { .. } => "arrive",
+                FleetEvent::Depart { .. } => "depart",
+                FleetEvent::SetPriorities { .. } => "churn",
+                _ => "fault",
+            })
+            .collect();
+        assert_eq!(kinds, ["arrive", "depart", "churn", "fault"]);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! reference's. The source's departure and then the destination's
 //! arrival are applied serially, as the sequential reference does.
 
-use crate::executor::{Disposition, FleetExecutor};
-use crate::load::RequestId;
+use crate::executor::{Disposition, FleetExecutor, RunState};
 use crate::telemetry::stage;
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{priorities_or_uniform, DynamicEvent};
 use rankmap_sim::{Mapping, MigrationModel, Workload};
-use std::collections::HashMap;
 
 impl<O: ThroughputOracle> FleetExecutor<'_, O> {
     /// One rebalance attempt at time `t`: if some shard's mean predicted
@@ -29,7 +27,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
     pub(crate) fn maybe_rebalance(
         &mut self,
         t: f64,
-        requests: &mut HashMap<RequestId, Disposition>,
+        state: &mut RunState,
     ) -> Option<(usize, usize)> {
         // Health question: the worst collapsed shard with something to
         // shed — an O(log S) index read, or (in scan mode) a parallel
@@ -39,8 +37,8 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             return None;
         }
         // Victim: the live instance with the smallest priority weight.
-        let state = self.shards[src].current()?;
-        let (workload, incumbent) = (&state.0, &state.1);
+        let shard_state = self.shards[src].current()?;
+        let (workload, incumbent) = (&shard_state.0, &shard_state.1);
         let weights = priorities_or_uniform(&self.shards[src].mapper, workload);
         let victim_idx = weights
             .iter()
@@ -100,10 +98,9 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
         // it (at least) the full on-board restage of the victim's weights
         // plus its stem rebuild, over *its own* transfer link, so
         // rebalancing cannot ping-pong instances at no modeled cost.
-        let window = self.config.decision_window;
         let timer = self.telemetry.stage(stage::REBALANCE_MIGRATE);
-        self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)], window);
-        let assigned = self.shards[dst].apply(t, &[DynamicEvent::arrive(t, victim_model)], window);
+        self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)]);
+        let assigned = self.shards[dst].apply(t, &[DynamicEvent::arrive(t, victim_model)]);
         self.telemetry.finish(timer);
         let new_id = assigned[0];
         let victim_workload = Workload::from_ids([victim_model]);
@@ -111,11 +108,8 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             .full_restage(&victim_workload)
             .stall_seconds;
         self.shards[dst].session.charge_stall(transfer);
-        if let Some(entry) = requests.values_mut().find(|d| {
-            matches!(d, Disposition::Active { shard, instance }
-                     if *shard == src && *instance == victim_id)
-        }) {
-            *entry = Disposition::Active { shard: dst, instance: new_id };
+        if let Some(owner) = Self::owner_of(state, src, victim_id) {
+            state.requests.insert(owner, Disposition::Active { shard: dst, instance: new_id });
         }
         Some((src, dst))
     }

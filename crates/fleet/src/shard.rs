@@ -20,6 +20,10 @@ use rankmap_sim::{Mapping, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Expected residency window handed to every shard session as the remap
+/// decision's integration horizon (seconds).
+const DECISION_WINDOW: f64 = 60.0;
+
 /// A shard's current (workload, incumbent mapping) pair, shared out of
 /// the memo without rebuilding the workload or cloning the mapping.
 pub(crate) type ShardState = Arc<(Workload, Mapping)>;
@@ -131,21 +135,21 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     /// Repairs the shard: it rejoins empty, at nominal speed (a repaired
     /// board boots with thermals reset, so any pre-failure throttle is
     /// cleared).
-    pub(crate) fn revive(&mut self, at: f64, window: f64) {
+    pub(crate) fn revive(&mut self, at: f64) {
         self.down = false;
         self.throttle = 1.0;
         self.session.set_derate(1.0);
-        self.apply(at, &[], window);
+        self.apply(at, &[]);
     }
 
     /// Applies a thermal throttle: subsequent served throughput, recorded
     /// potential, and placement/health scores all scale by `factor`. An
     /// empty apply closes the running segment so the derate takes effect
     /// exactly at `at`.
-    pub(crate) fn set_throttle(&mut self, at: f64, factor: f64, window: f64) {
+    pub(crate) fn set_throttle(&mut self, at: f64, factor: f64) {
         self.throttle = factor;
         self.session.set_derate(factor);
-        self.apply(at, &[], window);
+        self.apply(at, &[]);
     }
 
     /// Current workload + incumbent mapping in live order, memoized until
@@ -223,18 +227,13 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     /// Applies a batch of same-time events on this shard's session,
     /// invalidating every probe memo first (the live set is about to
     /// change).
-    pub(crate) fn apply(
-        &mut self,
-        at: f64,
-        events: &[DynamicEvent],
-        window: f64,
-    ) -> Vec<InstanceId> {
+    pub(crate) fn apply(&mut self, at: f64, events: &[DynamicEvent]) -> Vec<InstanceId> {
         self.incumbent_prediction = None;
         self.current_state = None;
         self.trial_cache.clear();
         self.epoch += 1;
         self.session.advance_to(at);
-        self.session.apply(events, window, &mut self.mapper)
+        self.session.apply(events, DECISION_WINDOW, &mut self.mapper)
     }
 
     /// Byte key pinning every input of `build_probe` and
