@@ -4,17 +4,13 @@
 //!
 //! One Poisson load (seeded, deterministic) is offered to an 8-shard
 //! fleet of 4 Orange Pi 5 boards and 4 Jetson-class boards. The run
-//! answers three questions:
+//! answers two questions and records the total wall-clock placement
+//! time:
 //!
 //! * **Does normalization share the load?** Per-platform admissions and
 //!   timeline potentials are recorded; under normalized (fraction of each
 //!   board's own ideal) routing the slower boards keep winning arrivals
 //!   instead of being starved by the Jetsons' raw throughput.
-//! * **Is fused placement scoring faster?** The identical run is executed
-//!   with [`FleetConfig::fused_scoring`] on (one deduplicated
-//!   `predict_grouped` call per platform group) and off (one
-//!   `predict_batch` call per shard); decisions are asserted identical
-//!   and the total wall-clock placement time of both is recorded.
 //! * **Does a mixed-fleet trace replay bit-for-bit?** The run is recorded
 //!   to a version-2 JSONL trace (platform mix in the header), parsed
 //!   back, and replayed on a freshly built mixed fleet.
@@ -26,8 +22,7 @@ use rankmap_core::json::{obj, Json};
 use rankmap_core::manager::ManagerConfig;
 use rankmap_core::oracle::AnalyticalOracle;
 use rankmap_fleet::{
-    generate, FleetConfig, FleetOutcome, FleetRuntime, FleetSpec, LoadSpec, ShardSpec, Trace,
-    TraceMeta,
+    generate, FleetConfig, FleetRuntime, FleetSpec, LoadSpec, ShardSpec, Trace, TraceMeta,
 };
 use rankmap_platform::Platform;
 
@@ -45,7 +40,7 @@ fn load_spec() -> LoadSpec {
     }
 }
 
-fn fleet_config(fused: bool) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     let budget = if smoke() { 60 } else { 150 };
     FleetConfig {
         manager: ManagerConfig {
@@ -54,7 +49,6 @@ fn fleet_config(fused: bool) -> FleetConfig {
             plan_cache_capacity: 512,
             ..Default::default()
         },
-        fused_scoring: fused,
         ..Default::default()
     }
 }
@@ -99,56 +93,18 @@ fn main() {
         if smoke() { "smoke" } else { "full" }
     );
 
-    // Fused vs serial placement scoring: identical decisions, different
-    // wall-clock. Each run gets its *own* oracle instances so neither
-    // inherits the other's warm workload-pricing caches — the comparison
-    // is cold-for-cold. The fused run is the canonical outcome everything
-    // else reports on.
-    let run = |fused: bool| -> FleetOutcome {
-        let orange_oracle = AnalyticalOracle::new(&orange);
-        let jetson_oracle = AnalyticalOracle::new(&jetson);
-        FleetRuntime::new(
-            &mixed_spec(&orange, &jetson, &orange_oracle, &jetson_oracle),
-            fleet_config(fused),
-        )
-        .execute(&events, spec.horizon)
-    };
-    // One discarded warm-up heats process-wide state (model graphs,
-    // allocator arenas, ...) so neither measured arm benefits from going
-    // second; each arm then reports its best-of-N placement time (the
-    // runs are deterministic, so every reptition's decisions are
-    // identical and only the clock varies).
-    let _ = run(true);
-    let reps = if smoke() { 1 } else { 3 };
-    let measure = |fused: bool| -> FleetOutcome {
-        (0..reps)
-            .map(|_| run(fused))
-            .min_by_key(|o| o.placement_latency.total)
-            .expect("at least one rep")
-    };
-    let serial = measure(false);
-    let fused = measure(true);
-    assert_eq!(
-        fused.placements, serial.placements,
-        "fused scoring must not change a single placement decision"
-    );
-    assert_eq!(fused.metrics, serial.metrics);
-    let fused_us = fused.placement_latency.total.as_secs_f64() * 1e6;
-    let serial_us = serial.placement_latency.total.as_secs_f64() * 1e6;
-    let fused_faster = fused_us < serial_us;
+    let outcome = FleetRuntime::new(
+        &mixed_spec(&orange, &jetson, &orange_oracle, &jetson_oracle),
+        fleet_config(),
+    )
+    .execute(&events, spec.horizon);
+    let placement_us = outcome.placement_latency.total.as_secs_f64() * 1e6;
     println!(
-        "  placement scoring over {} decisions: fused {:.0}us vs serial {:.0}us ({})",
-        fused.placement_latency.samples,
-        fused_us,
-        serial_us,
-        if fused_faster {
-            format!("fused {:.2}x faster", serial_us / fused_us)
-        } else {
-            "serial faster — fusion NOT paying off".into()
-        },
+        "  placement scoring over {} decisions: {placement_us:.0}us",
+        outcome.placement_latency.samples
     );
 
-    let m = &fused.metrics;
+    let m = &outcome.metrics;
     let orange_admitted: u64 =
         by_platform(&m.per_shard_platform, &m.per_shard_admitted, orange.name());
     let jetson_admitted: u64 =
@@ -172,7 +128,7 @@ fn main() {
     // trace pins the platform mix and the replay must agree bit-for-bit.
     let recorder = FleetRuntime::new(
         &mixed_spec(&orange, &jetson, &orange_oracle, &jetson_oracle),
-        fleet_config(true),
+        fleet_config(),
     );
     let trace = Trace::new(
         TraceMeta::new(recorder.shard_count(), spec.horizon, spec.seed, "hetero-bench")
@@ -181,9 +137,9 @@ fn main() {
     );
     let replayed = recorder
         .execute_trace(&Trace::from_jsonl(&trace.to_jsonl()).expect("trace parses"));
-    let replay_identical = replayed.metrics == fused.metrics
-        && replayed.placements == fused.placements
-        && replayed.timelines == fused.timelines;
+    let replay_identical = replayed.metrics == outcome.metrics
+        && replayed.placements == outcome.placements
+        && replayed.timelines == outcome.timelines;
     println!(
         "  mixed-fleet trace replay: {}",
         if replay_identical { "bit-identical" } else { "DIVERGED" }
@@ -227,14 +183,10 @@ fn main() {
             ]),
         ),
         (
-            "fused_vs_serial_scoring_8_shards",
+            "placement_8_shards",
             obj([
-                ("decisions", Json::Num(fused.placement_latency.samples as f64)),
-                ("fused_total_us", Json::Num(fused_us)),
-                ("serial_total_us", Json::Num(serial_us)),
-                ("speedup", Json::Num(serial_us / fused_us)),
-                ("fused_faster", Json::Bool(fused_faster)),
-                ("decisions_identical", Json::Bool(true)),
+                ("decisions", Json::Num(outcome.placement_latency.samples as f64)),
+                ("total_us", Json::Num(placement_us)),
             ]),
         ),
         ("trace_replay_bit_identical", Json::Bool(replay_identical)),

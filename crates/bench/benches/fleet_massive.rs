@@ -4,16 +4,12 @@
 //! The full run offers ≥10⁵ instance lifetimes (Zipf-skewed popularity
 //! plus flash-crowd and correlated-tenant overlays) to a 128-shard fleet
 //! through [`LoadStream`] + `execute_stream` — the event vector is never
-//! materialized — and A/Bs the equivalence-class placement index against
-//! the full probe scan at **fixed offered load**:
+//! materialized — at **fixed offered load**, and records events/sec and
+//! placement-decision latency p50/p99. A 256- and 512-shard sweep
+//! extends the scale story. (The placement index's bit-identity to a
+//! full probe scan is property-tested in `crates/fleet/tests/indexed.rs`;
+//! the scan is a test reference, not a bench arm.)
 //!
-//! * the two arms must produce **bit-identical** deterministic metrics
-//!   (the index is an execution strategy, never a policy — asserted
-//!   here and property-tested in `crates/fleet/tests/indexed.rs`);
-//! * the indexed arm must win on events/sec (the report's headline);
-//! * placement-decision latency p50/p99 is recorded per arm.
-//!
-//! A 256- and 512-shard indexed-only sweep extends the scale story.
 //! `RANKMAP_BENCH_SMOKE=1` shrinks the horizon (and skips the wide
 //! sweep) so CI keeps this tier compiling *and running*.
 
@@ -65,9 +61,9 @@ fn load_spec() -> LoadSpec {
 }
 
 /// Deliberately small search budgets: at this tier the system under
-/// test is the placement layer (probe fan-out + health scans), not the
-/// per-board mapper, and both A/B arms share the identical budget.
-fn fleet_config(indexed: bool) -> FleetConfig {
+/// test is the placement layer (class probing, the score memo, health
+/// reads), not the per-board mapper.
+fn fleet_config() -> FleetConfig {
     FleetConfig {
         manager: ManagerConfig {
             mcts_iterations: 16,
@@ -79,7 +75,6 @@ fn fleet_config(indexed: bool) -> FleetConfig {
         // Long horizon: sample the serving timelines coarsely so the
         // recorded state stays small while the event stream does not.
         sample_dt: 250.0,
-        indexed_placement: indexed,
         ..Default::default()
     }
 }
@@ -91,24 +86,23 @@ struct Run {
     events_per_s: f64,
 }
 
-fn run(platform: &Platform, shards: usize, indexed: bool) -> Run {
+fn run(platform: &Platform, shards: usize) -> Run {
     let oracle = AnalyticalOracle::new(platform);
     let spec = load_spec();
     // Event count for the throughput figure (a generation-only pass;
     // the stream is cheap, the fleet is not).
     let events = LoadStream::new(&spec).count();
-    let fleet = FleetRuntime::homogeneous(platform, &oracle, shards, fleet_config(indexed));
+    let fleet = FleetRuntime::homogeneous(platform, &oracle, shards, fleet_config());
     let start = Instant::now();
     let outcome = fleet.execute_stream(LoadStream::new(&spec), spec.horizon);
     let wall_s = start.elapsed().as_secs_f64();
     Run { outcome, events, wall_s, events_per_s: events as f64 / wall_s }
 }
 
-fn row(shards: usize, indexed: bool, r: &Run) -> Json {
+fn row(shards: usize, r: &Run) -> Json {
     let m = &r.outcome.metrics;
     obj([
         ("shards", Json::Num(shards as f64)),
-        ("indexed", Json::Bool(indexed)),
         ("events", Json::Num(r.events as f64)),
         ("offered", Json::Num(m.offered as f64)),
         ("admitted", Json::Num(m.admitted as f64)),
@@ -154,52 +148,25 @@ fn main() {
         if smoke() { "smoke" } else { "full" }
     );
 
-    // The A/B at 128 shards, fixed offered load: indexed placement vs
-    // the full-scan oracle. Decisions must agree bit for bit; only the
-    // wall clock may differ.
-    let indexed = run(&platform, 128, true);
-    print_run("128 shards, indexed", &indexed);
-    let scan = run(&platform, 128, false);
-    print_run("128 shards, scan   ", &scan);
-    assert_eq!(
-        indexed.outcome.metrics, scan.outcome.metrics,
-        "indexed placement changed a decision — the index must be bit-identical to the scan"
-    );
-    assert_eq!(indexed.outcome.placements, scan.outcome.placements);
-    let speedup = indexed.events_per_s / scan.events_per_s;
-    println!(
-        "  indexed/scan events/s = {speedup:.2}x ({})",
-        if speedup > 1.0 { "index wins" } else { "INDEX SLOWER THAN SCAN" }
-    );
+    let massive = run(&platform, 128);
+    print_run("128 shards", &massive);
+    let mut rows = vec![row(128, &massive)];
 
-    let mut rows = vec![row(128, true, &indexed), row(128, false, &scan)];
-
-    // The wide sweep (indexed only — the scan arm at 512 shards would
-    // dominate the run for no extra information).
+    // The wide sweep.
     if !smoke() {
         for shards in [256usize, 512] {
-            let r = run(&platform, shards, true);
-            print_run(&format!("{shards} shards, indexed"), &r);
-            rows.push(row(shards, true, &r));
+            let r = run(&platform, shards);
+            print_run(&format!("{shards} shards"), &r);
+            rows.push(row(shards, &r));
         }
-    }
-
-    // Acceptance: the full run offers >=1e5 instance lifetimes to >=128
-    // shards and the index beats the scan at fixed load.
-    if !smoke() {
+        // Acceptance: the full run offers >=1e5 instance lifetimes to
+        // >=128 shards.
         assert!(
-            indexed.outcome.metrics.offered >= 100_000,
+            massive.outcome.metrics.offered >= 100_000,
             "full run must offer >=1e5 instance lifetimes, got {}",
-            indexed.outcome.metrics.offered
+            massive.outcome.metrics.offered
         );
     }
-    assert!(
-        speedup > 1.0,
-        "indexed placement must beat the full scan on events/sec at 128 shards \
-         (indexed {:.0}/s vs scan {:.0}/s)",
-        indexed.events_per_s,
-        scan.events_per_s
-    );
 
     let report = obj([
         ("smoke", Json::Bool(smoke())),
@@ -218,11 +185,6 @@ fn main() {
             ]),
         ),
         ("runs", Json::Arr(rows)),
-        ("indexed_over_scan_events_per_s", Json::Num(speedup)),
-        (
-            "ab_decisions_bit_identical",
-            Json::Bool(indexed.outcome.metrics == scan.outcome.metrics),
-        ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     rankmap_bench::merge_bench_report(path, "fleet_massive", report);

@@ -27,7 +27,7 @@
 use crate::index::PlacementIndex;
 use crate::load::{FleetEvent, RequestId};
 use crate::metrics::{FleetMetrics, LatencyStats, PlacementOutcome, PlacementRecord};
-use crate::placement::{ProbeMemo, PROBE_MEMO_BOUND};
+use crate::placement::{ScoreMemo, PROBE_MEMO_BOUND};
 use crate::runtime::FleetOutcome;
 use crate::shard::Shard;
 use crate::spec::FleetSpec;
@@ -110,22 +110,17 @@ pub struct FleetConfig {
     pub rebalance_margin: f64,
     /// Remap-gain objective of every shard runtime.
     pub objective: GainObjective,
-    /// Whether placement probes are answered through one fused
-    /// [`ThroughputOracle::predict_grouped`] call per platform group
-    /// (with duplicate probes deduplicated) instead of one
-    /// `predict_batch` call per shard. Decisions are bit-identical either
-    /// way; `false` keeps the serial path for A/B benchmarking.
-    pub fused_scoring: bool,
     /// How shard work is executed (see [`Parallelism`]).
     /// [`Parallelism::Sequential`] is the reference implementation;
     /// `Threads(n)` is bit-identical to it for any width.
     pub parallelism: Parallelism,
-    /// Bound on the fused scorer's cross-event probe memo (entries
-    /// across all platform groups; each entry is one probe's candidate
-    /// predictions — a few hundred bytes). Eviction is generational: the
-    /// oldest half goes whole, and an answer hit since it was inserted
-    /// moves to the young half, so the hottest probes stay memoized even
-    /// under adversarial arrival mixes. Must be positive
+    /// Bound on placement's cross-event score memo (entries across all
+    /// platform groups; each entry is a few `f64`s per candidate
+    /// mapping). Eviction is generational: the oldest half goes whole,
+    /// and an entry hit since it was inserted moves to the young half,
+    /// so the hottest questions stay memoized even under adversarial
+    /// arrival mixes. A bound of 1 keeps only the newest entry. Must be
+    /// positive
     /// ([`FleetConfigError::ZeroProbeMemoCapacity`]), matching the plan
     /// cache's contract.
     pub probe_memo_capacity: usize,
@@ -151,14 +146,6 @@ pub struct FleetConfig {
     /// work *before* high-priority potential collapses. `0.0` (the
     /// default) disables the guard.
     pub overload_guard: f64,
-    /// Route admission probes and health scans through the incremental
-    /// shard-state index (see `crate::index`): probes are built once per
-    /// *distinct shard state* and broadcast to equal-state shards, and
-    /// the rebalancer/overload-guard's worst-shard read is O(log S)
-    /// instead of one oracle prediction per shard per event. Decisions
-    /// are bit-identical either way (property-tested); `false` keeps the
-    /// full O(shards) scan as the identity oracle and A/B baseline.
-    pub indexed_placement: bool,
     /// Observability configuration (see [`TelemetrySpec`]). Disabled by
     /// default; enabled or disabled, all placements, timelines, and
     /// [`FleetMetrics`] are bit-identical — telemetry lives strictly off
@@ -243,14 +230,12 @@ impl Default for FleetConfig {
             rebalance_threshold: 0.3,
             rebalance_margin: 0.05,
             objective: GainObjective::default(),
-            fused_scoring: true,
             parallelism: Parallelism::default(),
             probe_memo_capacity: PROBE_MEMO_BOUND,
             evacuate: true,
             retry_limit: 0,
             retry_backoff: 30.0,
             overload_guard: 0.0,
-            indexed_placement: true,
             telemetry: TelemetrySpec::default(),
         }
     }
@@ -286,6 +271,10 @@ struct RetryEntry {
 /// (`crate::faults`) can update the same tallies the main loop does.
 pub(crate) struct RunState {
     pub(crate) requests: HashMap<RequestId, Disposition>,
+    /// The request behind each live `(shard, instance)` — the reverse of
+    /// every [`Disposition::Active`] in `requests`, kept in step by
+    /// [`RunState::activate`] and [`RunState::take_owner`].
+    owners: HashMap<(usize, InstanceId), RequestId>,
     pub(crate) placements: Vec<PlacementRecord>,
     /// Wall-clock placement-decision latencies, fed incrementally into a
     /// log-bucketed histogram — O(distinct buckets) memory instead of the
@@ -314,6 +303,7 @@ impl RunState {
     fn new(shards: usize) -> Self {
         Self {
             requests: HashMap::new(),
+            owners: HashMap::new(),
             placements: Vec::new(),
             latencies: Histogram::new(),
             evac_latencies: Histogram::new(),
@@ -335,6 +325,19 @@ impl RunState {
         }
     }
 
+    /// Marks `request` live as `instance` on `shard`.
+    pub(crate) fn activate(&mut self, request: RequestId, shard: usize, instance: InstanceId) {
+        self.requests.insert(request, Disposition::Active { shard, instance });
+        self.owners.insert((shard, instance), request);
+    }
+
+    /// The request owning `(shard, instance)`, if any, which stops owning
+    /// it: every caller is about to move or drop the instance, and sets
+    /// the request's new disposition itself.
+    pub(crate) fn take_owner(&mut self, shard: usize, instance: InstanceId) -> Option<RequestId> {
+        self.owners.remove(&(shard, instance))
+    }
+
     /// Index of the earliest pending retry (ties broken by request id).
     fn next_retry(&self) -> Option<usize> {
         self.pending_retries
@@ -345,8 +348,8 @@ impl RunState {
     }
 }
 
-/// The engine behind [`crate::FleetRuntime`]: owns the shards, the fused
-/// scorer's probe memo, and the event loop that advances all shards
+/// The engine behind [`crate::FleetRuntime`]: owns the shards, the score
+/// memo, the placement index, and the event loop that advances all shards
 /// between global event barriers (see the module docs for the barrier
 /// model and determinism argument).
 pub struct FleetExecutor<'p, O: ThroughputOracle> {
@@ -355,15 +358,17 @@ pub struct FleetExecutor<'p, O: ThroughputOracle> {
     pub(crate) group_oracles: Vec<&'p O>,
     /// Per-shard platform names, in shard order (the trace's fleet mix).
     pub(crate) platforms: Vec<String>,
-    /// The fused scorer's cross-event memo: per-group oracle answers
-    /// keyed by probe fingerprint, bounded by
-    /// [`FleetConfig::probe_memo_capacity`]. A fingerprint fully
-    /// determines the question (trial set, survivor placements, weights),
-    /// so entries are pure and never stale.
-    pub(crate) probe_memo: ProbeMemo,
-    /// The incremental shard-state index behind
-    /// [`FleetConfig::indexed_placement`] (unused when the flag is off).
+    /// Placement's cross-event memo of throttle-free score terms, bounded
+    /// by [`FleetConfig::probe_memo_capacity`]. A key fully determines
+    /// its terms, so entries are pure and never stale.
+    pub(crate) score_memo: ScoreMemo,
+    /// The incremental shard-state index: placement classes and the
+    /// health order (see `crate::index`).
     pub(crate) index: PlacementIndex,
+    /// Score placements and read health by the reference full scans
+    /// instead (see `crate::reference`).
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) reference_placement: bool,
     /// The observability collector behind [`FleetConfig::telemetry`] —
     /// strictly off the decision path (inert when disabled).
     pub(crate) telemetry: FleetTelemetry,
@@ -424,10 +429,12 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             boards.push(board);
         }
         Self {
-            probe_memo: ProbeMemo::new(group_oracles.len(), config.probe_memo_capacity),
+            score_memo: ScoreMemo::new(config.probe_memo_capacity),
             group_oracles,
             platforms: spec.platform_names(),
             index: PlacementIndex::new(shards.len()),
+            #[cfg(any(test, feature = "reference"))]
+            reference_placement: false,
             telemetry: FleetTelemetry::new(config.telemetry, shards.len(), config.sample_dt),
             boards,
             config,
@@ -445,32 +452,20 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
 
     /// The worst loaded shard `(index, mean predicted potential)` among
     /// shards with something to shed (up, ≥ 2 live instances) — the
-    /// rebalancer's and overload guard's shared health question. Indexed
-    /// mode reads the health order's front in O(log S); scan mode runs
-    /// the original parallel prediction fan-out. Both return the
-    /// `min_by(total_cmp)` answer, first-minimal on ties.
+    /// rebalancer's and overload guard's shared health question, read
+    /// from the health index's front in O(log S): the `min_by(total_cmp)`
+    /// answer, first-minimal on ties.
     pub(crate) fn worst_loaded(&mut self) -> Option<(usize, f64)> {
+        #[cfg(any(test, feature = "reference"))]
+        if self.reference_placement {
+            return self.reference_worst_loaded();
+        }
         let timer = self.telemetry.stage(stage::REBALANCE_SCAN);
-        let worst = if self.config.indexed_placement {
-            let refile = self.telemetry.stage(stage::INDEX_REFILE);
-            let refiled = self.index.refresh(&mut self.shards);
-            self.telemetry.finish(refile);
-            self.telemetry.count("fleet_index_refiled_total", refiled as u64);
-            self.index.worst()
-        } else {
-            let means: Vec<Option<f64>> = self.for_each_shard(|_, shard| {
-                if !shard.is_down() && shard.live_len() >= 2 {
-                    shard.mean_potential()
-                } else {
-                    None
-                }
-            });
-            means
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, mean)| mean.map(|m| (s, m)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-        };
+        let refile = self.telemetry.stage(stage::INDEX_REFILE);
+        let refiled = self.index.refresh(&mut self.shards);
+        self.telemetry.finish(refile);
+        self.telemetry.count("fleet_index_refiled_total", refiled as u64);
+        let worst = self.index.worst();
         self.telemetry.finish(timer);
         worst
     }
@@ -507,9 +502,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 let timer = self.telemetry.stage(stage::APPLY);
                 let instance = self.shards[s].apply(t, &[DynamicEvent::arrive(t, model)])[0];
                 self.telemetry.finish(timer);
-                state
-                    .requests
-                    .insert(request, Disposition::Active { shard: s, instance });
+                state.activate(request, s, instance);
                 state.admitted += 1;
                 if attempt > 0 {
                     state.retry_admitted += 1;
@@ -599,6 +592,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 match state.requests.get(request).copied() {
                     Some(Disposition::Active { shard, instance }) => {
                         state.requests.remove(request);
+                        state.take_owner(shard, instance);
                         state.departed += 1;
                         self.telemetry.count("fleet_departed_total", 1);
                         let timer = self.telemetry.stage(stage::DEPART_APPLY);
@@ -809,16 +803,16 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             .filter(|d| matches!(d, Disposition::Active { .. }))
             .count() as u64;
         let board_memo = self.board_memo_stats();
-        let Self { config, platforms, mut shards, probe_memo, telemetry, .. } = self;
+        let Self { config, platforms, mut shards, score_memo, telemetry, .. } = self;
         for_each_shard(config.parallelism, &mut shards, |_, shard| {
             shard.session.finish(horizon);
         });
         // Snapshot before the shards are consumed into timelines: the
-        // overlay pulls absolute totals from the probe memo and every
+        // overlay pulls absolute totals from the score memo and every
         // shard's plan cache, and folds in the wall-latency histograms
         // the run measured unconditionally.
         let telemetry_snapshot = telemetry.snapshot(
-            &probe_memo,
+            &score_memo,
             &shards,
             Some(&state.latencies),
             Some(&state.evac_latencies),

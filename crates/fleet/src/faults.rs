@@ -25,24 +25,12 @@
 //! rebalancer, on the post-rebalance fleet (`FleetExecutor::after_event`).
 
 use crate::executor::{Disposition, FleetExecutor, RunState};
-use crate::load::RequestId;
 use crate::metrics::{PlacementOutcome, PlacementRecord};
 use rankmap_core::oracle::ThroughputOracle;
-use rankmap_core::runtime::{priorities_or_uniform, DynamicEvent, InstanceId};
+use rankmap_core::runtime::{priorities_or_uniform, DynamicEvent};
 use rankmap_sim::{MigrationModel, Workload};
 
 impl<O: ThroughputOracle> FleetExecutor<'_, O> {
-    /// The request owning `(shard, instance)`, if any. The pair is unique
-    /// across the run, so the map scan has exactly one possible answer
-    /// (deterministic despite the hash map's iteration order).
-    pub(crate) fn owner_of(state: &RunState, shard: usize, id: InstanceId) -> Option<RequestId> {
-        state.requests.iter().find_map(|(r, d)| {
-            matches!(d, Disposition::Active { shard: s, instance: i }
-                     if *s == shard && *i == id)
-            .then_some(*r)
-        })
-    }
-
     /// Takes shard `src` down at time `t`: closes its serving timeline,
     /// triages its live set by priority, and — under
     /// [`crate::FleetConfig::evacuate`] — re-places victims onto
@@ -85,7 +73,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             let (victim_id, victim_model) = live[idx];
             let tier = (3 * rank / live.len().max(1)).min(2);
             state.tier_triaged[tier] += 1;
-            let owner = Self::owner_of(state, src, victim_id);
+            let owner = state.take_owner(src, victim_id);
             let floor = self.config.admission_floor;
             let destination = if self.config.evacuate {
                 // The down flag excludes `src` (and every other down
@@ -132,10 +120,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
                         );
                     }
                     if let Some(request) = owner {
-                        state.requests.insert(
-                            request,
-                            Disposition::Active { shard: dst, instance: assigned[0] },
-                        );
+                        state.activate(request, dst, assigned[0]);
                         state.placements.push(PlacementRecord {
                             request,
                             at: t,
@@ -206,7 +191,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             return;
         };
         let (victim_id, _) = self.shards[src].session.live()[victim_idx];
-        let owner = Self::owner_of(state, src, victim_id);
+        let owner = state.take_owner(src, victim_id);
         self.shards[src].apply(t, &[DynamicEvent::depart(t, victim_id)]);
         state.shed += 1;
         self.telemetry.count("fleet_shed_total", 1);

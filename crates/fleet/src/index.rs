@@ -1,41 +1,44 @@
-//! The incremental shard-state index behind
-//! [`crate::FleetConfig::indexed_placement`]: sublinear admission probing
-//! and an O(log S) health read, bit-identical to the full scans.
+//! The incremental shard-state index: sublinear admission probing and an
+//! O(log S) health read, bit-identical to the full scans kept as
+//! references for the conformance suites.
 //!
 //! Two structures, both maintained lazily from per-shard epoch counters
 //! (every [`Shard::apply`] and every `mark_down` bumps the epoch, so a
 //! refresh only recomputes the handful of shards an event actually
 //! touched):
 //!
-//! - **Placement classes.** Every *up* shard is filed under a byte key
-//!   pinning all inputs of `build_probe`: platform group, throttle bits,
-//!   live model ids in live order, and per-instance placements. Two
-//!   shards with equal keys are asked the *identical* oracle question and
-//!   fold to bit-identical `(delta, arrival_pot)` scores — so the probe
-//!   fan-out builds one probe per **class representative** (the lowest
-//!   member index, honoring the caller's exclusion) and broadcasts its
-//!   score to the rest of the class. In a large fleet most shards are
-//!   idle or carry one of a few popular live sets, so probe work scales
-//!   with the number of *distinct shard states*, not the shard count.
-//!   Class keys never include the mapper's priority mode: the executor
-//!   only ever changes mode through a fleet-wide `SetPriorities`
-//!   broadcast, so the mode is uniform across shards by construction.
+//! - **Placement classes.** Every *up* shard is filed under its class
+//!   key, [`Shard::state_key`] plus the throttle bits, which pins all
+//!   inputs of `build_probe`: platform group, throttle, live model ids in
+//!   live order, and per-instance placements. Two shards with equal keys
+//!   fold to bit-identical `(delta, arrival_pot)` scores — so placement
+//!   scores one **class representative** (the lowest member index,
+//!   honoring the caller's exclusion) and broadcasts its score to the
+//!   rest of the class. In a large fleet most shards are idle or carry
+//!   one of a few popular live sets, so placement work scales with the
+//!   number of *distinct shard states*, not the shard count. Class keys
+//!   never include the mapper's priority mode: the executor only ever
+//!   changes mode through a fleet-wide `SetPriorities` broadcast, so the
+//!   mode is uniform across shards by construction.
 //! - **Health order.** Shards eligible for the rebalancer/overload-guard
-//!   scan (up, ≥ 2 live instances) are kept in a `BTreeSet` ordered by
+//!   question (up, ≥ 2 live instances) are kept in a `BTreeSet` ordered by
 //!   `(mean_potential as order-preserving bits, shard index)`; its first
-//!   element *is* the `min_by(total_cmp)` answer of the full scan —
+//!   element *is* the `min_by(total_cmp)` answer of a full scan —
 //!   including the first-minimal tie-break on shard index — read in
 //!   O(log S) instead of one oracle prediction per shard per event.
 //!
-//! Scores are computed by the unchanged fused/serial scoring machinery
-//! and the unchanged downstream argmax/argmin selection code, so every
+//! Downstream argmax/argmin selection code is unchanged, so every
 //! tie-break (first-max admission, last-max rebalance destination) is
 //! preserved automatically; `crates/fleet/tests/indexed.rs` property-tests
-//! decision bit-identity against full-scan mode.
+//! decision bit-identity against the full-scan reference.
 
 use crate::shard::Shard;
 use rankmap_core::oracle::ThroughputOracle;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// A placement class: the shard's state key and its throttle bits.
+type ClassKey = (Arc<[u8]>, u64);
 
 /// Maps an `f64` to bits whose unsigned order equals `f64::total_cmp`
 /// order (sign-folded IEEE trick: negatives reverse, positives shift
@@ -53,9 +56,9 @@ fn ordered_bits(v: f64) -> u64 {
 /// See the module docs for the design and the bit-identity argument.
 pub(crate) struct PlacementIndex {
     /// Class key → member shards, ordered (deterministic iteration).
-    classes: BTreeMap<Vec<u8>, BTreeSet<usize>>,
+    classes: BTreeMap<ClassKey, BTreeSet<usize>>,
     /// Per-shard current class key (`None` = down, unfiled).
-    shard_key: Vec<Option<Vec<u8>>>,
+    shard_key: Vec<Option<ClassKey>>,
     /// `(ordered_bits(mean), shard)` for every health-eligible shard;
     /// the first element is the worst loaded shard.
     health: BTreeSet<(u64, usize)>,
@@ -96,7 +99,7 @@ impl PlacementIndex {
             }
             refiled += 1;
             self.seen_epoch[s] = Some(shard.epoch());
-            let new_key = shard.placement_class_key();
+            let new_key = shard.state_key().map(|k| (k, shard.throttle().to_bits()));
             if new_key != self.shard_key[s] {
                 if let Some(old) = self.shard_key[s].take() {
                     if let Some(members) = self.classes.get_mut(&old) {
@@ -127,6 +130,11 @@ impl PlacementIndex {
             self.health_val[s] = entry;
         }
         refiled
+    }
+
+    /// The state key shard `s` was last filed under (`None` = down).
+    pub(crate) fn state_key(&self, s: usize) -> Option<&Arc<[u8]>> {
+        self.shard_key[s].as_ref().map(|(state, _)| state)
     }
 
     /// `mask[s]` iff shard `s` is its class's representative — the lowest

@@ -91,6 +91,12 @@ pub mod load;
 pub mod metrics;
 mod placement;
 mod rebalance;
+/// The reference placement paths the conformance suites compare
+/// against. They live with the test support they serve and are compiled
+/// into the crate only for its own tests (the `reference` feature).
+#[cfg(any(test, feature = "reference"))]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 pub mod runtime;
 mod shard;
 pub mod spec;

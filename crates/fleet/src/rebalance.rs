@@ -9,7 +9,7 @@
 //! reference's. The source's departure and then the destination's
 //! arrival are applied serially, as the sequential reference does.
 
-use crate::executor::{Disposition, FleetExecutor, RunState};
+use crate::executor::{FleetExecutor, RunState};
 use crate::telemetry::stage;
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::runtime::{priorities_or_uniform, DynamicEvent};
@@ -108,8 +108,8 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
             .full_restage(&victim_workload)
             .stall_seconds;
         self.shards[dst].session.charge_stall(transfer);
-        if let Some(owner) = Self::owner_of(state, src, victim_id) {
-            state.requests.insert(owner, Disposition::Active { shard: dst, instance: new_id });
+        if let Some(owner) = state.take_owner(src, victim_id) {
+            state.activate(owner, dst, new_id);
         }
         Some((src, dst))
     }

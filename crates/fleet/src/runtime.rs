@@ -30,14 +30,13 @@
 //! to a healthier shard (**rebalancing**, one migration per event,
 //! charged at the destination board's own transfer link).
 //!
-//! Placement scoring is **fused** by default
-//! ([`FleetConfig::fused_scoring`]): probes for all shards of a platform
-//! group are deduplicated (two idle Orange Pis ask the oracle the exact
-//! same question), answered by one
-//! [`ThroughputOracle::predict_grouped`] call per oracle, and memoized
-//! across events in a bounded probe memo. Fused and serial scoring
-//! make bit-identical decisions (tested); fused is the faster execution
-//! strategy at high shard counts (benchmarked in `fleet_hetero`).
+//! Placement scoring runs one path: each class of equal-state shards is
+//! scored once, its answer looked up in a bounded cross-event score memo
+//! before any probe is built, and the remaining questions of a platform
+//! group answered by one [`ThroughputOracle::predict_grouped`] call. It
+//! makes decisions bit-identical to scoring every shard by its own
+//! `predict_batch` call (property-tested against that reference in
+//! `tests/indexed.rs`).
 //!
 //! Execution itself is **shard-parallel**: the executor
 //! ([`crate::executor`]) fans per-shard work — probe building,
@@ -119,7 +118,7 @@ pub struct FleetOutcome {
 /// construction, plan-cache warming, probe-score observability, and the
 /// execute/replay entry points.
 pub struct FleetRuntime<'p, O: ThroughputOracle> {
-    executor: FleetExecutor<'p, O>,
+    pub(crate) executor: FleetExecutor<'p, O>,
 }
 
 impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
@@ -222,15 +221,15 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
         &self.executor.platforms
     }
 
-    /// Hit/miss counters of the fused scorer's cross-event probe memo —
+    /// Hit/miss counters of placement's cross-event score memo —
     /// observability for tests and benches (the memo is bounded by
-    /// [`FleetConfig::probe_memo_capacity`]; hits answer a probe without
-    /// an oracle call and are bit-identical to recomputing it). Counters
-    /// tally unique oracle questions per event: shards sharing a
-    /// deduplicated probe count once, so the hit ratio reflects actual
-    /// oracle-call savings.
+    /// [`FleetConfig::probe_memo_capacity`]; a hit scores a shard without
+    /// building a probe or asking the oracle, bit-identically to
+    /// recomputing it). Counters tally distinct questions per event:
+    /// shards sharing one question count once, so the hit ratio reflects
+    /// actual oracle-call savings.
     pub fn probe_memo_stats(&self) -> rankmap_telemetry::MemoStats {
-        self.executor.probe_memo.stats()
+        self.executor.score_memo.stats()
     }
 
     /// Hit/miss counters of the board report memos, summed over platform
@@ -248,14 +247,14 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
         self.executor.board_memo_stats()
     }
 
-    /// A point-in-time telemetry snapshot — the registry with probe-memo
+    /// A point-in-time telemetry snapshot — the registry with score-memo
     /// and plan-cache totals overlaid, the flight recorder's retained
     /// window, and the per-shard time series collected so far. `None`
     /// when [`FleetConfig::telemetry`] is disabled. A finished run's
     /// snapshot rides on [`FleetOutcome::telemetry`] instead.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         self.executor.telemetry.snapshot(
-            &self.executor.probe_memo,
+            &self.executor.score_memo,
             &self.executor.shards,
             None,
             None,
@@ -305,23 +304,21 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
 
     /// Scores placing `model` on every shard: `scores[s]` is the shard's
     /// `(normalized potential delta, arrival potential)` — the router's
-    /// decision inputs — or `None` for shards at capacity. Potentials are
-    /// fractions of each shard's *own* board ideal, so the numbers are
-    /// comparable across a mixed fleet.
+    /// decision inputs — or `None` for shards down or at capacity.
+    /// Potentials are fractions of each shard's *own* board ideal, so the
+    /// numbers are comparable across a mixed fleet.
     ///
-    /// Under [`FleetConfig::fused_scoring`] the probes are grouped per
-    /// platform, deduplicated — within the event (two idle Orange Pis ask
-    /// the identical question) *and* across events (a probe's fingerprint
-    /// fully determines the oracle's answer, so a shard whose state has
-    /// not changed since the same model last arrived is answered from the
-    /// probe memo) — and the remaining unique questions answered by
-    /// one [`ThroughputOracle::predict_grouped`] call per oracle.
-    /// Otherwise each shard is scored by its own `predict_batch` call.
-    /// Both paths produce bit-identical scores, at any
-    /// [`crate::Parallelism`].
+    /// Shards in equal states are scored once. A question — a shard state
+    /// without its throttle, the arriving model and the priority tag — is
+    /// asked once per event, answered from the score memo when it was
+    /// asked before (a shard whose state has not changed since the same
+    /// model last arrived builds nothing), and the remaining questions of
+    /// a platform group go to one [`ThroughputOracle::predict_grouped`]
+    /// call. Scores are bit-identical at any [`crate::Parallelism`].
     ///
-    /// Takes `&mut self`: probe building refreshes the per-shard memos
-    /// (shards are owned `Send` state now — no interior mutability).
+    /// Takes `&mut self`: scoring refreshes the placement index and the
+    /// per-shard memos (shards are owned `Send` state — no interior
+    /// mutability).
     pub fn probe_scores(&mut self, model: ModelId) -> Vec<Option<(f64, f64)>> {
         self.executor.probe_scores(model)
     }
@@ -661,9 +658,10 @@ mod tests {
 
     #[test]
     fn fused_and_serial_scoring_make_identical_decisions() {
-        // Fused scoring is an execution strategy, not a policy: a mixed
-        // fleet must admit, place, reject, and rebalance identically with
-        // it on or off.
+        // Memoized, grouped scoring is an execution strategy, not a
+        // policy: a mixed fleet must admit, place, reject, and rebalance
+        // exactly as the reference that scores every shard by its own
+        // `predict_batch` call.
         let orange = Platform::orange_pi_5();
         let jetson = Platform::jetson_orin_nx();
         let orange_oracle = AnalyticalOracle::new(&orange);
@@ -687,11 +685,9 @@ mod tests {
         .map(|(k, &m)| arrive(k as f64 * 5.0, k as u64, m))
         .collect();
         let fused = FleetRuntime::new(&spec(), quick_config()).execute(&events, 120.0);
-        let serial = FleetRuntime::new(
-            &spec(),
-            FleetConfig { fused_scoring: false, ..quick_config() },
-        )
-        .execute(&events, 120.0);
+        let serial = FleetRuntime::new(&spec(), quick_config())
+            .with_reference_placement()
+            .execute(&events, 120.0);
         assert_eq!(fused.placements, serial.placements);
         assert_eq!(fused.metrics, serial.metrics);
         assert_eq!(fused.timelines, serial.timelines);

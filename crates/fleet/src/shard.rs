@@ -11,6 +11,7 @@
 //! only for a memo lookup or insert.
 
 use rankmap_core::oracle::ThroughputOracle;
+use rankmap_core::priority::PriorityMode;
 use rankmap_core::runtime::{
     weighted_potential, DynamicEvent, InstanceId, RankMapMapper, RuntimeSession,
 };
@@ -51,9 +52,6 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// `None` = not computed yet; `Some(None)` = computed, shard idle.
     /// Invalidated on apply.
     current_state: Option<Option<ShardState>>,
-    /// Memoized placement-probe trial workloads (live set + arrival),
-    /// keyed by arrival model. Invalidated on apply.
-    trial_cache: HashMap<ModelId, Arc<Workload>>,
     /// Whether the shard is currently failed. A down shard builds no
     /// probes (it cannot take arrivals), reports no health, and serves
     /// nothing — its live set was evacuated or shed when it went down.
@@ -61,8 +59,8 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// Served fraction of nominal speed in `(0, 1]` (thermal throttle).
     /// `Platform::scaled` keeps potential invariant under uniform
     /// scaling, so the throttle surfaces as a pure multiplicative derate
-    /// on served throughput and on every placement/health score — probe
-    /// memo entries (raw oracle predictions) stay valid across throttle
+    /// on served throughput and on every placement/health score — score
+    /// memo entries (throttle-free fold terms) stay valid across throttle
     /// changes.
     throttle: f64,
     /// Bumped on every state mutation (`apply`, `mark_down`) — the
@@ -90,7 +88,6 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
             session,
             incumbent_prediction: None,
             current_state: None,
-            trial_cache: HashMap::new(),
             down: false,
             throttle: 1.0,
             epoch: 0,
@@ -175,22 +172,25 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
         self.current_state.as_ref().expect("just computed").clone()
     }
 
-    /// The probe trial workload for an arriving `model` (live set first,
-    /// arrival appended), memoized until the next `apply`.
-    pub(crate) fn trial(&mut self, model: ModelId) -> Arc<Workload> {
-        let session = &self.session;
-        self.trial_cache
-            .entry(model)
-            .or_insert_with(|| {
-                Arc::new(Workload::from_ids(
-                    session
-                        .live()
-                        .iter()
-                        .map(|(_, m)| *m)
-                        .chain(std::iter::once(model)),
-                ))
-            })
-            .clone()
+    /// The probe trial workload for an arriving `model`: live set first,
+    /// arrival appended.
+    pub(crate) fn trial(&self, model: ModelId) -> Workload {
+        Workload::from_ids(
+            self.session.live().iter().map(|(_, m)| *m).chain(std::iter::once(model)),
+        )
+    }
+
+    /// The priority tag of a probe's weights: empty under dynamic ranks,
+    /// the static vector's bits when it applies to the trial workload
+    /// (live set + arrival) — the `RankMapMapper::effective_mode` rule, so
+    /// the tag, the live models and the arrival pin the trial's weights.
+    pub(crate) fn priority_tag(&self) -> Vec<u64> {
+        match self.mapper.mode() {
+            PriorityMode::Static(p) if p.len() == self.live_len() + 1 => {
+                p.iter().map(|w| w.to_bits()).collect()
+            }
+            _ => Vec::new(),
+        }
     }
 
     /// The oracle's per-DNN prediction for the current incumbent,
@@ -225,34 +225,31 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     }
 
     /// Applies a batch of same-time events on this shard's session,
-    /// invalidating every probe memo first (the live set is about to
+    /// invalidating the per-shard memos first (the live set is about to
     /// change).
     pub(crate) fn apply(&mut self, at: f64, events: &[DynamicEvent]) -> Vec<InstanceId> {
         self.incumbent_prediction = None;
         self.current_state = None;
-        self.trial_cache.clear();
         self.epoch += 1;
         self.session.advance_to(at);
         self.session.apply(events, DECISION_WINDOW, &mut self.mapper)
     }
 
-    /// Byte key pinning every input of `build_probe` and
-    /// [`Shard::mean_potential`]: platform group, throttle bits, live
-    /// model ids in live order, and per-instance placements. Two up
-    /// shards with equal keys build bit-identical probes (same trial
-    /// workload, candidates, weights, baseline, derate) and report the
-    /// identical health mean — the equivalence the placement index's
-    /// representative probing rests on. `None` while down: a down shard
-    /// is unprobeable and unfiled. The mapper's priority mode is
-    /// deliberately absent — `SetPriorities` is a fleet-wide broadcast,
-    /// so the mode never differs between shards.
-    pub(crate) fn placement_class_key(&mut self) -> Option<Vec<u8>> {
+    /// Byte key of the shard's state apart from its throttle: platform
+    /// group, live model ids in live order, and per-instance placements.
+    /// With the throttle bits it pins every input of `build_probe` and
+    /// [`Shard::mean_potential`] — the placement index's class key — and
+    /// with the arrival model and [`Shard::priority_tag`] it is the score
+    /// memo's key. `None` while down: a down shard is unprobeable and
+    /// unfiled. The mapper's priority mode is deliberately absent: the
+    /// executor changes it only by a fleet-wide `SetPriorities`, so it
+    /// never differs between shards.
+    pub(crate) fn state_key(&mut self) -> Option<Arc<[u8]>> {
         if self.is_down() {
             return None;
         }
-        let mut key = Vec::with_capacity(12 + self.live_len() * 8);
+        let mut key = Vec::with_capacity(4 + self.live_len() * 8);
         key.extend_from_slice(&(self.group as u32).to_le_bytes());
-        key.extend_from_slice(&self.throttle.to_bits().to_le_bytes());
         if let Some(state) = self.current() {
             for m in state.0.models() {
                 key.push(m.id() as u8);
@@ -262,7 +259,7 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
                 key.extend(assign.iter().map(|c| c.index() as u8));
             }
         }
-        Some(key)
+        Some(key.into())
     }
 }
 

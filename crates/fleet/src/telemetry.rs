@@ -24,7 +24,7 @@
 //!   of [`crate::FleetOutcome`] is measured unconditionally, exactly as
 //!   before telemetry existed.)
 
-use crate::placement::ProbeMemo;
+use crate::placement::ScoreMemo;
 use crate::shard::Shard;
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_telemetry::{
@@ -35,9 +35,10 @@ use rankmap_telemetry::{
 /// `fleet_stage_entered_total` counters and (gated) wall histograms key
 /// on.
 pub mod stage {
-    /// Per-shard probe construction fan-out.
+    /// Probe construction for the score memo's misses, fanned across
+    /// shards.
     pub const PROBE_BUILD: &str = "probe_build";
-    /// Grouped/serial oracle scoring + fold.
+    /// Score-memo lookups, the grouped oracle calls, and the fold.
     pub const FUSED_SCORING: &str = "fused_scoring";
     /// Applying an admitted arrival to its shard (admissions only).
     pub const APPLY: &str = "apply";
@@ -181,6 +182,12 @@ impl FleetTelemetry {
         StageTimer::start(self.spec.enabled && self.spec.wall_clock, name)
     }
 
+    /// Times a further span of a stage already entered at this barrier,
+    /// without counting another entry.
+    pub(crate) fn resume(&self, name: &'static str) -> StageTimer {
+        StageTimer::start(self.spec.enabled && self.spec.wall_clock, name)
+    }
+
     /// Resolves a stage timer into the wall histogram family.
     pub(crate) fn finish(&mut self, timer: StageTimer) {
         timer.finish(&mut self.registry);
@@ -259,7 +266,7 @@ impl FleetTelemetry {
     /// the run measured unconditionally.
     pub(crate) fn snapshot<O: ThroughputOracle>(
         &self,
-        probe_memo: &ProbeMemo,
+        score_memo: &ScoreMemo,
         shards: &[Shard<'_, O>],
         placement_wall: Option<&Histogram>,
         evacuation_wall: Option<&Histogram>,
@@ -268,10 +275,10 @@ impl FleetTelemetry {
             return None;
         }
         let mut registry = self.registry.clone();
-        let memo = probe_memo.stats();
+        let memo = score_memo.stats();
         registry.counter_set("fleet_probe_memo_hits_total", memo.hits);
         registry.counter_set("fleet_probe_memo_misses_total", memo.misses);
-        registry.gauge_set("fleet_probe_memo_entries", probe_memo.len() as f64);
+        registry.gauge_set("fleet_probe_memo_entries", score_memo.len() as f64);
         let mut plan = rankmap_telemetry::MemoStats::new();
         for shard in shards {
             let s = shard.mapper.manager().plan_cache_stats();

@@ -86,7 +86,7 @@ proptest! {
     }
 }
 
-/// The mixed-fleet variant: two platform groups (two fused-scoring
+/// The mixed-fleet variant: two platform groups (two grouped-scoring
 /// domains, two oracles) under the threaded executor still reproduce the
 /// sequential reference exactly.
 #[test]
@@ -114,26 +114,23 @@ fn mixed_fleet_threads_match_sequential() {
     }
 }
 
-/// The non-fused (serial per-shard scoring) path is covered too: fused
-/// off + threads on must equal fused off + sequential.
+/// The reference placement paths (a probe and a `predict_batch` call per
+/// shard, a full health scan) are thread-invariant too, and the single
+/// path reproduces them at every width.
 #[test]
 fn non_fused_scoring_is_thread_invariant() {
     let platform = Platform::orange_pi_5();
     let oracle = AnalyticalOracle::new(&platform);
     let spec = load(3, 0);
     let events = generate(&spec);
-    let run = |parallelism| {
-        FleetRuntime::homogeneous(
-            &platform,
-            &oracle,
-            3,
-            FleetConfig { fused_scoring: false, ..config(parallelism) },
-        )
-        .execute(&events, spec.horizon)
+    let run = |reference: bool, parallelism| {
+        let fleet = FleetRuntime::homogeneous(&platform, &oracle, 3, config(parallelism));
+        let fleet = if reference { fleet.with_reference_placement() } else { fleet };
+        fleet.execute(&events, spec.horizon)
     };
-    let reference = run(Parallelism::Sequential);
-    let threaded = run(Parallelism::Threads(4));
-    assert_identical(&reference, &threaded, "non-fused Threads(4)");
+    let reference = run(true, Parallelism::Sequential);
+    assert_identical(&reference, &run(true, Parallelism::Threads(4)), "reference Threads(4)");
+    assert_identical(&reference, &run(false, Parallelism::Threads(4)), "single path Threads(4)");
 }
 
 /// The forked arm: with an oracle slow enough that its batch and grouped

@@ -9,13 +9,15 @@ use std::hash::Hash;
 /// Entries live in two generations: inserts go to the young one, and once
 /// it holds half the bound it becomes the old one, dropping the previous
 /// old generation whole. A hit in the old generation moves the entry back
-/// to the young one, so an entry in use survives. Meant for memos of pure
-/// functions, where an eviction only costs a recomputation.
+/// to the young one, so an entry in use survives. A bound of 1 keeps no
+/// old generation. Meant for memos of pure functions, where an eviction
+/// only costs a recomputation.
 #[derive(Debug, Clone)]
 pub struct GenerationalMap<K, V> {
     young: HashMap<K, V>,
     old: HashMap<K, V>,
     half: usize,
+    keep_old: bool,
 }
 
 impl<K: Eq + Hash, V: Clone> GenerationalMap<K, V> {
@@ -23,10 +25,15 @@ impl<K: Eq + Hash, V: Clone> GenerationalMap<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if `bound < 2` (each generation holds half of it).
+    /// Panics if `bound == 0`.
     pub fn new(bound: usize) -> Self {
-        assert!(bound >= 2, "a generational map needs a bound of at least 2");
-        Self { young: HashMap::new(), old: HashMap::new(), half: bound / 2 }
+        assert!(bound > 0, "a generational map needs a positive bound");
+        Self {
+            young: HashMap::new(),
+            old: HashMap::new(),
+            half: (bound / 2).max(1),
+            keep_old: bound > 1,
+        }
     }
 
     /// The value under `key`, moving an old-generation entry back to the
@@ -48,7 +55,8 @@ impl<K: Eq + Hash, V: Clone> GenerationalMap<K, V> {
     /// first when it is full.
     pub fn insert(&mut self, key: K, value: V) {
         if self.young.len() >= self.half {
-            self.old = std::mem::take(&mut self.young);
+            let young = std::mem::take(&mut self.young);
+            self.old = if self.keep_old { young } else { HashMap::new() };
         }
         self.young.insert(key, value);
     }
@@ -80,5 +88,15 @@ mod tests {
             }
         }
         assert_eq!(map.get(&1), None, "an entry never read again is evicted");
+    }
+
+    #[test]
+    fn a_bound_of_one_holds_only_the_newest_entry() {
+        let mut map: GenerationalMap<u32, u32> = GenerationalMap::new(1);
+        map.insert(0, 0);
+        map.insert(1, 1);
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.get(&0), None);
+        assert_eq!(map.get(&1), Some(1));
     }
 }

@@ -40,7 +40,7 @@ pub use span::StageTimer;
 /// Hit/miss counters of a memo or cache, as a named pair instead of a
 /// positional `(u64, u64)` tuple.
 ///
-/// Shared by core's plan cache, the fleet's probe memo, and the
+/// Shared by core's plan cache, the fleet's score memo, and the
 /// telemetry registry overlay, so all cache-style stats speak one type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {

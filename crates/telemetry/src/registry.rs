@@ -66,7 +66,7 @@ impl Registry {
     /// Sets counter `key` to an externally tracked absolute value.
     ///
     /// Used at snapshot time to overlay totals that live in their own
-    /// structures (probe memo, plan caches) without double counting.
+    /// structures (score memo, plan caches) without double counting.
     pub fn counter_set(&mut self, key: &str, value: u64) {
         self.counters.insert(key.to_string(), value);
     }
