@@ -6,9 +6,9 @@
 //! through [`LoadStream`] + `execute_stream` — the event vector is never
 //! materialized — at **fixed offered load**, and records events/sec and
 //! placement-decision latency p50/p99. A 256- and 512-shard sweep
-//! extends the scale story. (The placement index's bit-identity to a
-//! full probe scan is property-tested in `crates/fleet/tests/indexed.rs`;
-//! the scan is a test reference, not a bench arm.)
+//! extends the scale story. (Placement's bit-identity to a full probe
+//! scan is property-tested in `crates/fleet/tests/indexed.rs`; the scan
+//! is a test reference, not a bench arm.)
 //!
 //! `RANKMAP_BENCH_SMOKE=1` shrinks the horizon (and skips the wide
 //! sweep) so CI keeps this tier compiling *and running*.
@@ -61,8 +61,8 @@ fn load_spec() -> LoadSpec {
 }
 
 /// Deliberately small search budgets: at this tier the system under
-/// test is the placement layer (class probing, the score memo, health
-/// reads), not the per-board mapper.
+/// test is the placement layer (one question per shard state, the score
+/// memo, health reads), not the per-board mapper.
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         manager: ManagerConfig {

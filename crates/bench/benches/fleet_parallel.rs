@@ -165,6 +165,6 @@ fn main() {
     // the CI smoke step leans on this to catch determinism regressions.
     assert!(
         all_identical,
-        "parallel execution diverged from the sequential reference — see {path}"
+        "parallel execution diverged from the Sequential run — see {path}"
     );
 }

@@ -12,8 +12,6 @@
 //! aggregate.
 //!
 //! The run also:
-//! * A/Bs the remap-gain objective (priority-weighted potential vs the
-//!   legacy raw-average, `GainObjective`) on the 4-shard fleet;
 //! * records the 2-shard run to a JSONL trace, replays it, and reports
 //!   whether metrics came back bit-identical;
 //! * reports wall-clock placement-decision latency (p50/p99) per fleet
@@ -25,7 +23,6 @@
 use rankmap_core::json::{obj, Json};
 use rankmap_core::manager::ManagerConfig;
 use rankmap_core::oracle::AnalyticalOracle;
-use rankmap_core::runtime::GainObjective;
 use rankmap_fleet::{
     generate, ArrivalProcess, FleetConfig, FleetOutcome, FleetRuntime, LoadSpec, Trace,
     TraceMeta,
@@ -46,7 +43,7 @@ fn load_spec() -> LoadSpec {
     }
 }
 
-fn fleet_config(objective: GainObjective) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     let budget = if smoke() { 60 } else { 150 };
     FleetConfig {
         manager: ManagerConfig {
@@ -55,16 +52,15 @@ fn fleet_config(objective: GainObjective) -> FleetConfig {
             plan_cache_capacity: 512,
             ..Default::default()
         },
-        objective,
         ..Default::default()
     }
 }
 
-fn run(platform: &Platform, shards: usize, objective: GainObjective) -> FleetOutcome {
+fn run(platform: &Platform, shards: usize) -> FleetOutcome {
     let oracle = AnalyticalOracle::new(platform);
     let spec = load_spec();
     let events = generate(&spec);
-    FleetRuntime::homogeneous(platform, &oracle, shards, fleet_config(objective))
+    FleetRuntime::homogeneous(platform, &oracle, shards, fleet_config())
         .execute(&events, spec.horizon)
 }
 
@@ -79,15 +75,12 @@ fn main() {
         if smoke() { "smoke" } else { "full" }
     );
 
-    // Scaling sweep: the same offered load against growing fleets. The
-    // 4-shard outcome doubles as the "aware" arm of the objective A/B
-    // below (everything is deterministic, a re-run would be identical).
+    // Scaling sweep: the same offered load against growing fleets.
     let mut rows = Vec::new();
     let mut aggregates = std::collections::BTreeMap::new();
-    let mut aware_4shard = None;
     let mut recorded_2shard = None;
     for shards in [1usize, 2, 4, 8] {
-        let outcome = run(&platform, shards, GainObjective::PriorityPotential);
+        let outcome = run(&platform, shards);
         let m = &outcome.metrics;
         let mean_potential =
             m.per_shard_potential.iter().sum::<f64>() / m.per_shard_potential.len() as f64;
@@ -120,10 +113,8 @@ fn main() {
                 Json::Num(outcome.placement_latency.p99.as_secs_f64() * 1e6),
             ),
         ]));
-        match shards {
-            2 => recorded_2shard = Some(outcome),
-            4 => aware_4shard = Some(outcome),
-            _ => {}
+        if shards == 2 {
+            recorded_2shard = Some(outcome);
         }
     }
     // Guard the ratio: a config that admits nothing at 1 shard would
@@ -135,26 +126,14 @@ fn main() {
         if scaling >= 4.0 { "meets the >=4x bar" } else { "BELOW the 4x bar" }
     );
 
-    // Objective A/B on the 4-shard fleet: the priority-weighted potential
-    // gain (default, reused from the sweep) vs the legacy raw-average
-    // objective.
-    let aware = aware_4shard.expect("the sweep covers 4 shards");
-    let legacy = run(&platform, 4, GainObjective::AverageThroughput);
-    println!(
-        "  gain-objective A/B (4 shards): priority-potential {:.1} pot·s vs raw-average {:.1} pot·s",
-        aware.metrics.aggregate_potential_seconds,
-        legacy.metrics.aggregate_potential_seconds,
-    );
-
     // Trace record/replay determinism on the 2-shard fleet (the recorded
     // side is the sweep's 2-shard outcome — same deterministic run).
     let oracle = AnalyticalOracle::new(&platform);
     let events = generate(&spec);
     let recorded = recorded_2shard.expect("the sweep covers 2 shards");
     let trace = Trace::new(TraceMeta::new(2, spec.horizon, spec.seed, "bench"), events);
-    let replayed =
-        FleetRuntime::homogeneous(&platform, &oracle, 2, fleet_config(GainObjective::default()))
-            .execute_trace(&Trace::from_jsonl(&trace.to_jsonl()).expect("trace parses"));
+    let replayed = FleetRuntime::homogeneous(&platform, &oracle, 2, fleet_config())
+        .execute_trace(&Trace::from_jsonl(&trace.to_jsonl()).expect("trace parses"));
     let replay_identical = replayed.metrics == recorded.metrics
         && replayed.placements == recorded.placements
         && replayed.timelines == recorded.timelines;
@@ -181,19 +160,6 @@ fn main() {
         ),
         ("scaling", Json::Arr(rows)),
         ("aggregate_8_shards_over_1_shard", Json::Num(scaling)),
-        (
-            "objective_ab_4_shards",
-            obj([
-                (
-                    "priority_potential_aggregate",
-                    Json::Num(aware.metrics.aggregate_potential_seconds),
-                ),
-                (
-                    "average_throughput_aggregate",
-                    Json::Num(legacy.metrics.aggregate_potential_seconds),
-                ),
-            ]),
-        ),
         ("trace_replay_bit_identical", Json::Bool(replay_identical)),
     ]);
     // BENCH_fleet.json is shared with the fleet_hetero bench: each bench

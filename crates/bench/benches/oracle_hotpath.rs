@@ -1,16 +1,12 @@
 //! Oracle hot-path benchmark: mapping-search latency with the learned
-//! oracle (paper-structured estimator), batched (`K ∈ {1, 8, 32}`)
-//! against the seed's sequential baseline, at the default 1,500-iteration
-//! budget.
+//! oracle (paper-structured estimator), batched at `K ∈ {1, 8, 32}`, at
+//! the default 1,500-iteration budget.
 //!
-//! The baseline arm reconstructs the seed implementation faithfully: a
-//! lock-guarded estimator queried one mapping at a time through the legacy
-//! `Estimator::predict` (`&mut`, training-path forward with its allocation
-//! traffic), driven by `Mcts::search_sequential` with per-step state
-//! clones and no caching. The batched arms run the same decision problem
-//! through the shipped hot path: `LearnedOracle` (`&self` inference,
-//! stacked decoder matmuls), virtual-loss rounds, transposition cache.
-//! A `manager_plan_default` arm measures the public
+//! The batched arms run one decision problem through the shipped hot
+//! path: `LearnedOracle` (`&self` inference, stacked decoder matmuls),
+//! virtual-loss rounds, transposition cache. (`K = 1` reproduces the
+//! classic one-rollout loop exactly; `rankmap-search`'s tests hold it to
+//! that loop.) A `manager_plan_default` arm measures the public
 //! `RankMapManager::map` entry point end to end, and an
 //! `analytical_manager_map` arm runs the same entry point over the
 //! `AnalyticalOracle` (the contention solver the fleet scores with). An
@@ -20,27 +16,22 @@
 //!
 //! Results land in `BENCH_oracle.json` at the workspace root (ns per call;
 //! divide by the 1,500-evaluation budget for ns/eval) so future PRs have a
-//! perf trajectory. The run also prints best-reward parity over 5 seeds:
-//! the batched search must stay within noise of the sequential one.
+//! perf trajectory.
 //!
-//! `RANKMAP_BENCH_SMOKE=1` skips the sequential baseline and the parity
-//! check (both run the 5 s seed-faithful search), takes few samples and
-//! writes no JSON, so CI can keep this bench compiling *and running*.
+//! `RANKMAP_BENCH_SMOKE=1` takes few samples and writes no JSON, so CI
+//! can keep this bench compiling *and running*.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rankmap_core::manager::{ManagerConfig, RankMapManager};
 use rankmap_core::oracle::{AnalyticalOracle, LearnedOracle, ThroughputOracle};
 use rankmap_core::priority::PriorityMode;
 use rankmap_core::reward::{RewardSpec, StarvationThreshold, DISQUALIFIED};
-use rankmap_estimator::{
-    EmbeddingTable, Estimator, EstimatorConfig, QTensorSpec, VqVae, VqVaeConfig,
-};
+use rankmap_estimator::{EmbeddingTable, Estimator, EstimatorConfig, VqVae, VqVaeConfig};
 use rankmap_models::ModelId;
 use rankmap_platform::{ComponentId, Platform};
 use rankmap_search::{DecisionProblem, Mcts, MctsConfig};
 use rankmap_sim::{Mapping, Workload};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 const BUDGET: usize = 1_500;
 const IDEAL: f64 = 25.0;
@@ -60,49 +51,8 @@ fn mix() -> Workload {
     ])
 }
 
-/// The seed's learned oracle, resurrected for the baseline arm: interior
-/// mutability around the legacy `&mut` estimator forward, one mapping per
-/// query, embeddings re-ensured on every call.
-struct SeedLearnedOracle {
-    vqvae: Mutex<VqVae>,
-    embeddings: Mutex<EmbeddingTable>,
-    estimator: Mutex<Estimator>,
-    spec: QTensorSpec,
-}
-
-impl SeedLearnedOracle {
-    fn new(vqvae: VqVae, embeddings: EmbeddingTable, estimator: Estimator) -> Self {
-        let spec = estimator.config().spec;
-        Self {
-            vqvae: Mutex::new(vqvae),
-            embeddings: Mutex::new(embeddings),
-            estimator: Mutex::new(estimator),
-            spec,
-        }
-    }
-}
-
-impl ThroughputOracle for SeedLearnedOracle {
-    fn predict(&self, workload: &Workload, mapping: &Mapping) -> Vec<f64> {
-        let mut emb = self.embeddings.lock().unwrap();
-        let mut vq = self.vqvae.lock().unwrap();
-        for m in workload.models() {
-            emb.ensure(&mut vq, m);
-        }
-        let q = emb.q_tensor(&self.spec, workload, mapping);
-        let preds = self.estimator.lock().unwrap().predict(&q);
-        (0..workload.len()).map(|i| (preds[i].max(0.0) as f64) * IDEAL).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "learned-seed"
-    }
-}
-
-/// The mapping decision problem both arms share (fixed ideal rates so the
-/// two searches optimize the identical objective). The batched methods are
-/// only reachable from `Mcts::search`; `search_sequential` exercises the
-/// seed behavior.
+/// The mapping decision problem every search arm shares (fixed ideal
+/// rates, so every arm optimizes the identical objective).
 struct BenchMappingProblem<'a, O: ThroughputOracle> {
     workload: &'a Workload,
     oracle: &'a O,
@@ -174,7 +124,6 @@ impl<O: ThroughputOracle> DecisionProblem for BenchMappingProblem<'_, O> {
 
 struct Setup {
     platform: Platform,
-    seed_oracle: SeedLearnedOracle,
     fast_oracle: LearnedOracle,
     spec: RewardSpec,
 }
@@ -185,55 +134,29 @@ fn setup() -> Setup {
     let mut vqvae = VqVae::new(VqVaeConfig::default(), 0);
     let table = EmbeddingTable::build(&mut vqvae, w.models());
     let estimator = Estimator::new(EstimatorConfig::paper(), 0);
-    let seed_oracle = SeedLearnedOracle::new(
-        VqVae::new(VqVaeConfig::default(), 0),
-        table.clone(),
-        Estimator::new(EstimatorConfig::paper(), 0),
-    );
     let fast_oracle = LearnedOracle::new(vqvae, table, estimator, Box::new(|_| IDEAL));
     // Untrained estimators predict near-zero throughput everywhere; a
-    // permissive threshold keeps every mapping qualified so the parity
-    // check below compares real rewards instead of fallback scores.
+    // permissive threshold keeps every mapping qualified, so the searches
+    // compare real rewards instead of fallback scores.
     let spec = RewardSpec::new(
         PriorityMode::Dynamic.vector(&w),
         StarvationThreshold::Absolute(-1.0),
         vec![IDEAL; w.len()],
     );
-    Setup { platform, seed_oracle, fast_oracle, spec }
+    Setup { platform, fast_oracle, spec }
 }
 
-/// One full mapping search. `batch == None` runs the seed-faithful
-/// sequential loop over the seed oracle; `batch == Some(k)` runs the
-/// shipped batched path over the fast oracle.
-fn plan(s: &Setup, w: &Workload, batch: Option<usize>, seed: u64) -> f64 {
-    let cfg = MctsConfig {
-        iterations: BUDGET,
-        seed,
-        batch: batch.unwrap_or(1),
-        ..Default::default()
+/// One full batched mapping search over the fast oracle.
+fn plan(s: &Setup, w: &Workload, batch: usize, seed: u64) -> f64 {
+    let cfg = MctsConfig { iterations: BUDGET, seed, batch, ..Default::default() };
+    let problem = BenchMappingProblem {
+        workload: w,
+        oracle: &s.fast_oracle,
+        spec: &s.spec,
+        components: s.platform.component_count(),
+        total_units: w.total_units(),
     };
-    match batch {
-        None => {
-            let problem = BenchMappingProblem {
-                workload: w,
-                oracle: &s.seed_oracle,
-                spec: &s.spec,
-                components: s.platform.component_count(),
-                total_units: w.total_units(),
-            };
-            Mcts::new(cfg).search_sequential(&problem).best_reward
-        }
-        Some(_) => {
-            let problem = BenchMappingProblem {
-                workload: w,
-                oracle: &s.fast_oracle,
-                spec: &s.spec,
-                components: s.platform.component_count(),
-                total_units: w.total_units(),
-            };
-            Mcts::new(cfg).search(&problem).best_reward
-        }
-    }
+    Mcts::new(cfg).search(&problem).best_reward
 }
 
 fn bench_oracle_hotpath(c: &mut Criterion) {
@@ -244,13 +167,10 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
     if smoke() {
         group.sample_size(3);
         group.measurement_time(std::time::Duration::from_millis(500));
-    } else {
-        group.sample_size(10);
-        group.bench_function("sequential_baseline", |b| b.iter(|| plan(&s, &w, None, 1)));
     }
     for k in [1usize, 8, 32] {
         group.bench_function(&format!("batched_k{k}"), |b| {
-            b.iter(|| plan(&s, &w, Some(k), 1))
+            b.iter(|| plan(&s, &w, k, 1))
         });
     }
     // The public entry point, end to end (measured ideal rates are cached
@@ -301,26 +221,6 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
         })
     });
     group.finish();
-    if smoke() {
-        return;
-    }
-
-    // Reward parity across seeds: the batched search must stay within
-    // noise of the sequential trajectory.
-    let mut seq = Vec::new();
-    let mut bat = Vec::new();
-    for seed in 0..5u64 {
-        seq.push(plan(&s, &w, None, seed));
-        bat.push(plan(&s, &w, Some(8), seed));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    println!(
-        "reward parity over 5 seeds: sequential mean {:.4} {:?}, batched(K=8) mean {:.4} {:?}",
-        mean(&seq),
-        seq,
-        mean(&bat),
-        bat
-    );
 }
 
 fn config() -> Criterion {

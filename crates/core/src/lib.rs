@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::priority::PriorityMode;
     pub use crate::reward::{RewardSpec, StarvationThreshold};
     pub use crate::runtime::{
-        timeline_average_potential, DynamicEvent, DynamicRuntime, GainObjective, InstanceId,
+        timeline_average_potential, DynamicEvent, DynamicRuntime, InstanceId,
         RankMapMapper, RuntimeSession, TimelinePoint, WorkloadMapper,
     };
     pub use crate::scenario::{MixProfile, ScenarioConfig};

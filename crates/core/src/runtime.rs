@@ -20,10 +20,8 @@
 //!   it has not deployed. The mapper's own estimator answers
 //!   ([`WorkloadMapper::predict`]; RankMap's throughput oracle), or the
 //!   board's analytical estimate for mappers without one. Only the
-//!   adopted mapping is simulated. The gain is integrated
-//!   under a [`GainObjective`]: the default weighs each DNN's *potential*
-//!   by its priority (the paper's reward), the legacy raw-average
-//!   objective stays available for A/B comparison.
+//!   adopted mapping is simulated. The gain integrates each DNN's
+//!   *potential* weighted by its priority (the paper's reward).
 //! * [`SetPriorities`](DynamicEvent::SetPriorities) events are routed into
 //!   the mapper via [`WorkloadMapper::set_priorities`], so Fig. 10 rank
 //!   rotations take effect.
@@ -157,8 +155,8 @@ pub trait WorkloadMapper {
 
     /// The resolved priority vector this mapper currently optimizes for,
     /// or `None` for rank-insensitive mappers (the runtime falls back to
-    /// uniform weights). The migration-aware remap decision uses it under
-    /// [`GainObjective::PriorityPotential`].
+    /// uniform weights). The migration-aware remap decision weighs each
+    /// DNN's potential by it.
     fn priorities(&self, _workload: &Workload) -> Option<Vec<f64>> {
         None
     }
@@ -351,26 +349,12 @@ pub fn priorities_or_uniform(mapper: &dyn WorkloadMapper, workload: &Workload) -
         .unwrap_or_else(|| vec![1.0 / workload.len().max(1) as f64; workload.len()])
 }
 
-/// What the migration-aware remap decision integrates over the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GainObjective {
-    /// Priority-weighted potential (the paper's reward shape): each DNN's
-    /// `throughput / ideal` weighted by the mapper's resolved priority
-    /// vector (uniform for rank-insensitive mappers). The default.
-    #[default]
-    PriorityPotential,
-    /// Raw average throughput across DNNs — the pre-fleet objective, kept
-    /// for A/B comparison in the `fleet_scale` bench.
-    AverageThroughput,
-}
-
 /// Executes a dynamic scenario against a mapper, measuring steady-state
 /// behaviour between events on the board simulator.
 pub struct DynamicRuntime<'p> {
     platform: &'p Platform,
     sample_dt: f64,
     migration_aware: bool,
-    objective: GainObjective,
     stem_rebuild: Option<f64>,
 }
 
@@ -387,7 +371,6 @@ impl<'p> DynamicRuntime<'p> {
             platform,
             sample_dt,
             migration_aware: true,
-            objective: GainObjective::default(),
             stem_rebuild: None,
         }
     }
@@ -398,13 +381,6 @@ impl<'p> DynamicRuntime<'p> {
     /// timeline, because the board pays them either way.
     pub fn with_migration_awareness(mut self, on: bool) -> Self {
         self.migration_aware = on;
-        self
-    }
-
-    /// Selects the remap-gain objective (default
-    /// [`GainObjective::PriorityPotential`]).
-    pub fn with_gain_objective(mut self, objective: GainObjective) -> Self {
-        self.objective = objective;
         self
     }
 
@@ -461,7 +437,6 @@ impl<'p> DynamicRuntime<'p> {
             migration,
             sample_dt: self.sample_dt,
             migration_aware: self.migration_aware,
-            objective: self.objective,
             derate: 1.0,
             clock: 0.0,
             instances: Vec::new(),
@@ -540,7 +515,6 @@ pub struct RuntimeSession<'p> {
     migration: MigrationModel<'p>,
     sample_dt: f64,
     migration_aware: bool,
-    objective: GainObjective,
     /// Thermal-derate factor in `(0, 1]`: the fraction of the board's
     /// nominal speed currently served. `Platform::scaled` keeps potential
     /// (throughput / ideal) invariant, so a uniformly throttled board's
@@ -795,22 +769,6 @@ impl<'p> RuntimeSession<'p> {
         }
     }
 
-    /// Scores a throughput report under the session's gain objective.
-    fn gain_score(&self, workload: &Workload, per_dnn: &[f64], weights: &[f64]) -> f64 {
-        match self.objective {
-            GainObjective::AverageThroughput => {
-                if per_dnn.is_empty() {
-                    0.0
-                } else {
-                    per_dnn.iter().sum::<f64>() / per_dnn.len() as f64
-                }
-            }
-            GainObjective::PriorityPotential => {
-                weighted_potential(self.board.ideals(), workload, per_dnn, weights)
-            }
-        }
-    }
-
     /// The migration-aware remap decision: keep the incumbent mapping when
     /// the candidate's predicted gain does not pay for the stall its
     /// weight moves and stem rebuilds cost within the expected residency
@@ -847,14 +805,16 @@ impl<'p> RuntimeSession<'p> {
         let blocked = cost.stall_seconds.min(window);
         let weights = priorities_or_uniform(mapper, workload);
         // Integrated gain over the window: switching trades `blocked`
-        // seconds of silence for the candidate's (hopefully higher) score.
-        let predict = |mapping: &Mapping| {
-            mapper
+        // seconds of silence for the candidate's (hopefully higher)
+        // priority-weighted potential.
+        let score = |mapping: &Mapping| {
+            let per_dnn = mapper
                 .predict(workload, mapping)
-                .unwrap_or_else(|| self.board.estimate(workload, mapping))
+                .unwrap_or_else(|| self.board.estimate(workload, mapping));
+            weighted_potential(self.board.ideals(), workload, &per_dnn, &weights)
         };
-        let inc_score = self.gain_score(workload, &predict(&incumbent_mapping), &weights);
-        let cand_score = self.gain_score(workload, &predict(&candidate), &weights);
+        let inc_score = score(&incumbent_mapping);
+        let cand_score = score(&candidate);
         if cand_score * (window - blocked) > inc_score * window {
             (candidate, cost.stall_seconds)
         } else {
@@ -1413,8 +1373,8 @@ mod tests {
     #[test]
     fn priority_weighted_gain_objective_follows_the_critical_dnn() {
         // Two DNNs; a candidate that helps the critical DNN at the expense
-        // of raw average throughput. The PriorityPotential objective must
-        // adopt it while AverageThroughput keeps the incumbent.
+        // of raw average throughput. The priority-weighted potential gain
+        // must adopt it.
         struct Script {
             calls: usize,
             first: Mapping,
@@ -1457,7 +1417,7 @@ mod tests {
         let cand_r = estimate.evaluate(&w, &candidate);
         assert!(
             cand_r.average() < inc_r.average(),
-            "the candidate must lose on raw average for this A/B to bite: {} vs {}",
+            "the candidate must lose on raw average for this test to bite: {} vs {}",
             cand_r.average(),
             inc_r.average()
         );
@@ -1473,20 +1433,10 @@ mod tests {
             second: candidate.clone(),
             mode: PriorityMode::critical(2, 0),
         };
-        let adopted = |rt: DynamicRuntime<'_>| {
-            let tl = rt.run(&events, &mut script(), 10_000.0);
-            tl.iter().any(|pt| pt.time >= 100.0 && pt.migration_stall > 0.0)
-        };
+        let tl = DynamicRuntime::new(&p, 5_000.0).run(&events, &mut script(), 10_000.0);
         assert!(
-            adopted(DynamicRuntime::new(&p, 5_000.0)),
+            tl.iter().any(|pt| pt.time >= 100.0 && pt.migration_stall > 0.0),
             "the potential objective must pay the stall to lift the critical DNN"
-        );
-        assert!(
-            !adopted(
-                DynamicRuntime::new(&p, 5_000.0)
-                    .with_gain_objective(GainObjective::AverageThroughput)
-            ),
-            "the legacy raw-average objective must keep the GPU pileup"
         );
     }
 

@@ -17,14 +17,13 @@
 //! deterministic given their seeds), the merge order is the canonical
 //! shard index — never completion order — and cross-shard decisions
 //! (admission, rebalance victim/destination) are taken serially from the
-//! merged score vector exactly as the sequential reference does. No
-//! floating-point sum ever changes its association order, so
-//! [`Parallelism::Threads`] with *any* `n` produces placements,
-//! timelines, metrics, and trace replays **bit-identical** to
-//! [`Parallelism::Sequential`] (property-tested in
+//! merged score vector. No floating-point sum ever changes its
+//! association order, so [`Parallelism::Threads`] with *any* `n`
+//! produces placements, timelines, metrics, and trace replays
+//! **bit-identical** to [`Parallelism::Sequential`] (property-tested in
 //! `crates/fleet/tests/parallel.rs`).
 
-use crate::index::PlacementIndex;
+use crate::index::HealthIndex;
 use crate::load::{FleetEvent, RequestId};
 use crate::metrics::{FleetMetrics, LatencyStats, PlacementOutcome, PlacementRecord};
 use crate::placement::{ScoreMemo, PROBE_MEMO_BOUND};
@@ -38,7 +37,7 @@ use rankmap_core::manager::{ManagerConfig, RankMapManager};
 use rankmap_core::oracle::ThroughputOracle;
 use rankmap_core::priority::PriorityMode;
 use rankmap_core::runtime::{
-    timeline_average_potential, DynamicEvent, DynamicRuntime, GainObjective, InstanceId,
+    timeline_average_potential, DynamicEvent, DynamicRuntime, InstanceId,
     RankMapMapper, TimelinePoint,
 };
 use rankmap_models::ModelId;
@@ -56,9 +55,9 @@ use std::time::Instant;
 /// whether per-shard work items are spread across worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Advance every shard in turn on the calling thread — the reference
-    /// implementation and the determinism oracle `Threads(n)` is
-    /// measured against.
+    /// Advance every shard in turn on the calling thread: the same code
+    /// path as `Threads(1)`. (The placement references the conformance
+    /// suites compare against live in `tests/support/reference.rs`.)
     Sequential,
     /// Fan per-shard work across up to `n` worker threads between global
     /// event barriers (`Threads(1)` is the serial schedule on the
@@ -108,11 +107,8 @@ pub struct FleetConfig {
     /// Required predicted improvement of the source shard's mean
     /// potential for a rebalance migration to fire.
     pub rebalance_margin: f64,
-    /// Remap-gain objective of every shard runtime.
-    pub objective: GainObjective,
-    /// How shard work is executed (see [`Parallelism`]).
-    /// [`Parallelism::Sequential`] is the reference implementation;
-    /// `Threads(n)` is bit-identical to it for any width.
+    /// How shard work is executed (see [`Parallelism`]). Every width is
+    /// bit-identical to [`Parallelism::Sequential`].
     pub parallelism: Parallelism,
     /// Bound on placement's cross-event score memo (entries across all
     /// platform groups; each entry is a few `f64`s per candidate
@@ -229,7 +225,6 @@ impl Default for FleetConfig {
             admission_floor: 0.05,
             rebalance_threshold: 0.3,
             rebalance_margin: 0.05,
-            objective: GainObjective::default(),
             parallelism: Parallelism::default(),
             probe_memo_capacity: PROBE_MEMO_BOUND,
             evacuate: true,
@@ -349,7 +344,7 @@ impl RunState {
 }
 
 /// The engine behind [`crate::FleetRuntime`]: owns the shards, the score
-/// memo, the placement index, and the event loop that advances all shards
+/// memo, the health index, and the event loop that advances all shards
 /// between global event barriers (see the module docs for the barrier
 /// model and determinism argument).
 pub struct FleetExecutor<'p, O: ThroughputOracle> {
@@ -362,9 +357,9 @@ pub struct FleetExecutor<'p, O: ThroughputOracle> {
     /// by [`FleetConfig::probe_memo_capacity`]. A key fully determines
     /// its terms, so entries are pure and never stale.
     pub(crate) score_memo: ScoreMemo,
-    /// The incremental shard-state index: placement classes and the
-    /// health order (see `crate::index`).
-    pub(crate) index: PlacementIndex,
+    /// The incremental health order behind [`FleetExecutor::worst_loaded`]
+    /// (see `crate::index`).
+    pub(crate) health: HealthIndex,
     /// Score placements and read health by the reference full scans
     /// instead (see `crate::reference`).
     #[cfg(any(test, feature = "reference"))]
@@ -407,8 +402,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         let mut boards = Vec::with_capacity(spec.groups().len());
         for (g, group) in spec.groups().iter().enumerate() {
             group_oracles.push(group.oracle);
-            let runtime = DynamicRuntime::new(group.platform, config.sample_dt)
-                .with_gain_objective(config.objective);
+            let runtime = DynamicRuntime::new(group.platform, config.sample_dt);
             // One record per group: the ideal rates and the report memo
             // every shard of the group shares.
             let board = runtime.board(ideal_rates(group.platform, &ModelId::all()));
@@ -432,7 +426,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             score_memo: ScoreMemo::new(config.probe_memo_capacity),
             group_oracles,
             platforms: spec.platform_names(),
-            index: PlacementIndex::new(shards.len()),
+            health: HealthIndex::new(shards.len()),
             #[cfg(any(test, feature = "reference"))]
             reference_placement: false,
             telemetry: FleetTelemetry::new(config.telemetry, shards.len(), config.sample_dt),
@@ -462,10 +456,10 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         }
         let timer = self.telemetry.stage(stage::REBALANCE_SCAN);
         let refile = self.telemetry.stage(stage::INDEX_REFILE);
-        let refiled = self.index.refresh(&mut self.shards);
+        let refiled = self.health.refresh(&mut self.shards);
         self.telemetry.finish(refile);
         self.telemetry.count("fleet_index_refiled_total", refiled as u64);
-        let worst = self.index.worst();
+        let worst = self.health.worst();
         self.telemetry.finish(timer);
         worst
     }

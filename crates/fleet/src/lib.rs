@@ -29,8 +29,8 @@
 //!   concurrently: [`FleetConfig::parallelism`] selects
 //!   [`Parallelism::Threads`]`(n)` (per-shard work fans across `n`
 //!   threads between global event barriers; the default sizes to the
-//!   host's cores) or the [`Parallelism::Sequential`] reference — both
-//!   produce bit-identical placements, timelines, metrics, and trace
+//!   host's cores) or [`Parallelism::Sequential`] (the same code on the
+//!   calling thread) — both produce bit-identical placements, timelines, metrics, and trace
 //!   replays (property-tested in `tests/parallel.rs`).
 //!
 //! # Quickstart (homogeneous)

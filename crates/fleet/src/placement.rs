@@ -1,15 +1,15 @@
 //! Placement scoring: the cross-event score memo, probes, and the
 //! admission decision.
 //!
-//! An arriving DNN is scored on one representative per shard-state class
-//! (see `crate::index`), and each representative's score is broadcast to
-//! the rest of its class. A representative first looks its question up
-//! in the [`ScoreMemo`]: the shard's state without its throttle, the
-//! arriving model and the priority tag pin the throttle-free terms of the
-//! fold, so a hit is folded with the shard's derate without building
-//! anything. Only the missing questions build a probe (trial workload,
-//! one candidate per component, incumbent score) — per-shard work that
-//! fans across the executor's worker pool — and are answered by one
+//! An arriving DNN is scored once per distinct shard state
+//! ([`Shard::state_key`]) in the fleet: every shard in that state folds
+//! the same throttle-free terms with its own derate. The first shard in
+//! each state looks the question up in the [`ScoreMemo`]: the shard's
+//! state, the arriving model and the priority tag pin the throttle-free
+//! terms of the fold, so a hit is folded without building anything. Only
+//! the missing questions build a probe (trial workload, one candidate per
+//! component, incumbent score) — per-shard work that fans across the
+//! executor's worker pool — and are answered by one
 //! [`ThroughputOracle::predict_grouped`] call per platform group. Memo
 //! lookups, inserts, folds and the cross-shard argmax stay serial in
 //! canonical shard order, so decisions are bit-identical at any thread
@@ -134,8 +134,8 @@ impl ScoreMemo {
     }
 
     /// Hit/miss counters since construction. Placement consults the memo
-    /// once per distinct key per event, so these count oracle questions
-    /// saved/asked — not per-shard lookups.
+    /// once per distinct shard state per call, so these count oracle
+    /// questions saved/asked — not per-shard lookups.
     pub(crate) fn stats(&self) -> MemoStats {
         MemoStats { hits: self.hits, misses: self.misses }
     }
@@ -248,12 +248,15 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
     /// rebalancer scores a victim's destinations this way so the source
     /// shard never costs an evaluation it is about to discard.
     ///
-    /// Each class representative looks its key up in the score memo
-    /// (once per distinct key per event); the first representative of
-    /// each missing key builds a probe on the worker pool; each group's
-    /// missing questions go to one grouped oracle call, and their terms
-    /// are memoized. Folding and the broadcast to class members run
-    /// serially in canonical shard order.
+    /// Every up, non-excluded shard with capacity takes the slot of its
+    /// state key, opened by the first shard in that state. Inside one
+    /// call the arrival model and the fleet-wide priority mode are fixed,
+    /// so the state bytes alone decide the question, and the memo is
+    /// consulted once per distinct state. The opener of each missing
+    /// state builds a probe on the worker pool; each group's missing
+    /// questions go to one grouped oracle call, and their terms are
+    /// memoized. Each shard then folds its slot's terms with its own
+    /// throttle, serially in canonical shard order.
     pub(crate) fn probe_scores_excluding(
         &mut self,
         model: ModelId,
@@ -265,32 +268,31 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
         }
         let max_per_shard = self.config.max_per_shard;
         let floor = self.config.admission_floor;
-        let refile = self.telemetry.stage(stage::INDEX_REFILE);
-        let refiled = self.index.refresh(&mut self.shards);
-        self.telemetry.finish(refile);
-        self.telemetry.count("fleet_index_refiled_total", refiled as u64);
         let lookup = self.telemetry.stage(stage::FUSED_SCORING);
         let shards = self.shards.len();
-        // `slot_of[s]`: representative `s`'s entry in `answers`; equal
-        // keys within the event share one slot and one memo lookup.
+        // `slot_of[s]`: shard `s`'s entry in `answers`; shards in one
+        // state share one slot and one memo lookup.
         let mut slot_of: Vec<Option<usize>> = vec![None; shards];
         let mut answers: Vec<Option<Arc<ScoreTerms>>> = Vec::new();
-        let mut slots: HashMap<ScoreKey, usize> = HashMap::new();
+        let mut slots: HashMap<Arc<[u8]>, usize> = HashMap::new();
         // Missing keys in first-asker order: (asker, slot, key).
         let mut missing: Vec<(usize, usize, ScoreKey)> = Vec::new();
-        let reps = self.index.representative_mask(exclude);
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !reps[s] || shard.live_len() >= max_per_shard {
+        let mut shared = 0u64;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            if Some(s) == exclude || shard.live_len() >= max_per_shard {
                 continue;
             }
-            let state = self.index.state_key(s).expect("representatives are up");
-            let key = (Arc::clone(state), model, shard.priority_tag());
-            let slot = match slots.entry(key) {
-                Entry::Occupied(e) => *e.get(),
+            let Some(state) = shard.state_key() else { continue };
+            let slot = match slots.entry(state) {
+                Entry::Occupied(e) => {
+                    shared += 1;
+                    *e.get()
+                }
                 Entry::Vacant(e) => {
-                    let terms = self.score_memo.get(e.key());
+                    let key = (Arc::clone(e.key()), model, shard.priority_tag());
+                    let terms = self.score_memo.get(&key);
                     if terms.is_none() {
-                        missing.push((s, answers.len(), e.key().clone()));
+                        missing.push((s, answers.len(), key));
                     }
                     answers.push(terms);
                     *e.insert(answers.len() - 1)
@@ -299,6 +301,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             slot_of[s] = Some(slot);
         }
         self.telemetry.finish(lookup);
+        self.telemetry.count("fleet_index_broadcast_total", shared);
         let build = self.telemetry.stage(stage::PROBE_BUILD);
         let mut probes: Vec<Option<Probe>> = Vec::new();
         if !missing.is_empty() {
@@ -329,7 +332,7 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
                 answers[slot] = Some(terms);
             }
         }
-        let mut scores: Vec<Option<(f64, f64)>> = slot_of
+        let scores = slot_of
             .iter()
             .zip(&self.shards)
             .map(|(slot, shard)| {
@@ -338,8 +341,6 @@ impl<'p, O: ThroughputOracle> FleetExecutor<'p, O> {
             })
             .collect();
         self.telemetry.finish(scoring);
-        let copied = self.index.broadcast(exclude, &mut scores);
-        self.telemetry.count("fleet_index_broadcast_total", copied as u64);
         scores
     }
 

@@ -5,9 +5,9 @@
 //! destination probes fan across the executor's worker pool; victim
 //! selection and the destination argmax run serially at the barrier over
 //! the merged, shard-ordered results — so the migration chosen under
-//! [`crate::Parallelism::Threads`] is bit-identical to the sequential
-//! reference's. The source's departure and then the destination's
-//! arrival are applied serially, as the sequential reference does.
+//! [`crate::Parallelism::Threads`] is bit-identical to a
+//! [`crate::Parallelism::Sequential`] run's. The source's departure and
+//! then the destination's arrival are applied serially.
 
 use crate::executor::{FleetExecutor, RunState};
 use crate::telemetry::stage;

@@ -30,11 +30,12 @@
 //! to a healthier shard (**rebalancing**, one migration per event,
 //! charged at the destination board's own transfer link).
 //!
-//! Placement scoring runs one path: each class of equal-state shards is
-//! scored once, its answer looked up in a bounded cross-event score memo
-//! before any probe is built, and the remaining questions of a platform
-//! group answered by one [`ThroughputOracle::predict_grouped`] call. It
-//! makes decisions bit-identical to scoring every shard by its own
+//! Placement scoring runs one path: each distinct shard state is asked
+//! once, its answer looked up in a bounded cross-event score memo before
+//! any probe is built, every shard in that state folds the answer with
+//! its own throttle, and the remaining questions of a platform group are
+//! answered by one [`ThroughputOracle::predict_grouped`] call. It makes
+//! decisions bit-identical to scoring every shard by its own
 //! `predict_batch` call (property-tested against that reference in
 //! `tests/indexed.rs`).
 //!
@@ -316,8 +317,7 @@ impl<'p, O: ThroughputOracle> FleetRuntime<'p, O> {
     /// a platform group go to one [`ThroughputOracle::predict_grouped`]
     /// call. Scores are bit-identical at any [`crate::Parallelism`].
     ///
-    /// Takes `&mut self`: scoring refreshes the placement index and the
-    /// per-shard memos (shards are owned `Send` state — no interior
+    /// Takes `&mut self`: scoring refreshes the per-shard memos (shards are owned `Send` state — no interior
     /// mutability).
     pub fn probe_scores(&mut self, model: ModelId) -> Vec<Option<(f64, f64)>> {
         self.executor.probe_scores(model)

@@ -52,6 +52,9 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// `None` = not computed yet; `Some(None)` = computed, shard idle.
     /// Invalidated on apply.
     current_state: Option<Option<ShardState>>,
+    /// Memoized [`Shard::state_key`] of the up shard, read by placement
+    /// on every offered event. Invalidated on apply.
+    state_key: Option<Arc<[u8]>>,
     /// Whether the shard is currently failed. A down shard builds no
     /// probes (it cannot take arrivals), reports no health, and serves
     /// nothing — its live set was evacuated or shed when it went down.
@@ -64,7 +67,7 @@ pub(crate) struct Shard<'p, O: ThroughputOracle> {
     /// changes.
     throttle: f64,
     /// Bumped on every state mutation (`apply`, `mark_down`) — the
-    /// staleness signal `crate::index::PlacementIndex` watches, so a
+    /// staleness signal `crate::index::HealthIndex` watches, so a
     /// refresh only recomputes shards an event actually touched.
     /// Mutation funnels through `apply` (revive and set_throttle call
     /// it), leaving `mark_down` as the only other bump site.
@@ -88,6 +91,7 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
             session,
             incumbent_prediction: None,
             current_state: None,
+            state_key: None,
             down: false,
             throttle: 1.0,
             epoch: 0,
@@ -230,23 +234,27 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
     pub(crate) fn apply(&mut self, at: f64, events: &[DynamicEvent]) -> Vec<InstanceId> {
         self.incumbent_prediction = None;
         self.current_state = None;
+        self.state_key = None;
         self.epoch += 1;
         self.session.advance_to(at);
         self.session.apply(events, DECISION_WINDOW, &mut self.mapper)
     }
 
     /// Byte key of the shard's state apart from its throttle: platform
-    /// group, live model ids in live order, and per-instance placements.
-    /// With the throttle bits it pins every input of `build_probe` and
-    /// [`Shard::mean_potential`] — the placement index's class key — and
-    /// with the arrival model and [`Shard::priority_tag`] it is the score
-    /// memo's key. `None` while down: a down shard is unprobeable and
-    /// unfiled. The mapper's priority mode is deliberately absent: the
-    /// executor changes it only by a fleet-wide `SetPriorities`, so it
+    /// group, live model ids in live order, and per-instance placements,
+    /// memoized until the next `apply`. With the arrival model and
+    /// [`Shard::priority_tag`] it pins every input of `build_probe` except
+    /// the throttle — the score memo's key — and placement asks one
+    /// question per distinct key. `None` while down: a down shard is
+    /// unprobeable. The mapper's priority mode is deliberately absent:
+    /// the executor changes it only by a fleet-wide `SetPriorities`, so it
     /// never differs between shards.
     pub(crate) fn state_key(&mut self) -> Option<Arc<[u8]>> {
         if self.is_down() {
             return None;
+        }
+        if let Some(key) = &self.state_key {
+            return Some(Arc::clone(key));
         }
         let mut key = Vec::with_capacity(4 + self.live_len() * 8);
         key.extend_from_slice(&(self.group as u32).to_le_bytes());
@@ -259,7 +267,9 @@ impl<'p, O: ThroughputOracle> Shard<'p, O> {
                 key.extend(assign.iter().map(|c| c.index() as u8));
             }
         }
-        Some(key.into())
+        let key: Arc<[u8]> = key.into();
+        self.state_key = Some(Arc::clone(&key));
+        Some(key)
     }
 }
 

@@ -11,8 +11,8 @@
 //!    live on their new shard), or shed — and every offered request is
 //!    either admitted or rejected. No instance is lost or duplicated by
 //!    an evacuation, a retry, or an overload-guard shed.
-//! 2. **Determinism.** `Parallelism::Threads(n)` reproduces the
-//!    sequential reference bit-for-bit under chaos: fault handling,
+//! 2. **Determinism.** `Parallelism::Threads(n)` reproduces a
+//!    `Sequential` run bit-for-bit under chaos: fault handling,
 //!    evacuation triage, and retries all run at event barriers, so the
 //!    thread count is still an execution strategy, never a policy.
 //! 3. **Replay.** A chaos run records to a version-3 trace that parses
@@ -103,7 +103,7 @@ proptest! {
             prop_assert!(m.tier_evacuated[tier] <= m.tier_triaged[tier]);
         }
 
-        // 2. Determinism: threads reproduce the sequential reference.
+        // 2. Determinism: threads reproduce a `Sequential` run.
         for n in [2usize, 4] {
             let threaded = run(&platform, &spec, Parallelism::Threads(n));
             assert_identical(&reference, &threaded, &format!("Threads({n}) seed {seed}"));

@@ -3,7 +3,7 @@
 //! Every fleet bit-identity suite — `parallel.rs` (thread widths),
 //! `indexed.rs` (index vs full scan), `chaos.rs` (fault schedules),
 //! `telemetry.rs` (observation on/off) — asks the same question: does some execution strategy
-//! reproduce the sequential reference **byte for byte** across a
+//! reproduce its reference run **byte for byte** across a
 //! seeds × loads × faults matrix? This module owns the three shared
 //! pieces so the suites state only their strategy:
 //!

@@ -1,9 +1,9 @@
 //! Bit-identity of the single placement path against the reference
-//! full scans. Placement scores one representative per class of
-//! equal-state shards, answers repeated questions from the cross-event
-//! score memo before building any probe, asks the rest through one
-//! grouped oracle call per platform group, and reads fleet health from
-//! the O(log S) index. The reference (`with_reference_placement`)
+//! full scans. Placement asks one question per distinct shard state and
+//! folds it with each shard's own throttle, answers repeated questions
+//! from the cross-event score memo before building any probe, asks the
+//! rest through one grouped oracle call per platform group, and reads
+//! fleet health from the O(log S) index. The reference (`with_reference_placement`)
 //! scores every shard by its own probe and `predict_batch` call and scans
 //! every shard's health. The two must agree **byte for byte** —
 //! placements, metrics, and per-shard timelines — across seeds, every
@@ -13,9 +13,9 @@
 //!
 //! This is the load-bearing guarantee of the index and the memo: like
 //! the executor's threading, they are execution strategies, never
-//! policies. Two shards with equal class keys fold to bit-identical
-//! scores, a memo key (state without throttle, arrival, priority tag)
-//! pins every fold term but the derate, and the health BTree's first
+//! policies. A memo key (state without throttle, arrival, priority
+//! tag) pins every fold term but the derate, so shards in one state
+//! share one question, and the health BTree's first
 //! element *is* the scan's `min_by(total_cmp)` answer (see
 //! `rankmap_fleet::index`). The scenario matrix, bit-compare, and replay
 //! check come from the shared conformance harness (`tests/common/mod.rs`).
@@ -144,8 +144,8 @@ proptest! {
     }
 }
 
-/// The mixed-fleet variant: two platform groups mean two probe classes
-/// can never merge (group is part of the class key and the memo key) —
+/// The mixed-fleet variant: two platform groups never share a question
+/// (the group is part of the state key and the memo key) —
 /// the single path across heterogeneous boards still matches the
 /// reference exactly.
 #[test]

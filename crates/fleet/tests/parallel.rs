@@ -56,7 +56,7 @@ proptest! {
 
     /// The headline property: every thread count — serial, matching the
     /// shard count, and far oversubscribing it — reproduces the
-    /// sequential reference byte for byte, across seeds and load shapes,
+    /// `Sequential` run byte for byte, across seeds and load shapes,
     /// and the recorded trace replays bit-for-bit under the parallel
     /// executor.
     #[test]
@@ -87,8 +87,8 @@ proptest! {
 }
 
 /// The mixed-fleet variant: two platform groups (two grouped-scoring
-/// domains, two oracles) under the threaded executor still reproduce the
-/// sequential reference exactly.
+/// domains, two oracles) under the threaded executor still reproduce a
+/// `Sequential` run exactly.
 #[test]
 fn mixed_fleet_threads_match_sequential() {
     let orange = Platform::orange_pi_5();

@@ -1,8 +1,8 @@
 //! Reference placement paths for the bit-identity suites: every shard is
 //! scored by its own probe, one `predict_batch` call and a direct fold,
 //! and the worst-loaded shard is found by a full scan. The production
-//! path — class representatives, the score memo, grouped oracle calls
-//! and the health index — must reproduce these byte for byte
+//! path — one question per shard state, the score memo, grouped oracle
+//! calls and the health index — must reproduce these byte for byte
 //! (`tests/indexed.rs`, `tests/parallel.rs`, and the unit tests below).
 //!
 //! This file is test support with access to crate internals: `lib.rs`
@@ -86,7 +86,7 @@ impl<O: ThroughputOracle> FleetExecutor<'_, O> {
 #[cfg(test)]
 mod tests {
     use crate::executor::FleetExecutor;
-    use crate::{FleetConfig, FleetSpec, MemoStats, Parallelism};
+    use crate::{FleetConfig, FleetSpec, MemoStats, Parallelism, TelemetrySpec};
     use rankmap_core::manager::ManagerConfig;
     use rankmap_core::oracle::AnalyticalOracle;
     use rankmap_core::priority::PriorityMode;
@@ -112,27 +112,54 @@ mod tests {
 
     #[test]
     fn throttled_memo_hit_folds_to_the_fresh_probes_bits() {
-        // Two shards in the same state, one throttled: two placement
-        // classes, one memo key. The throttled shard's score comes from
-        // terms the unthrottled one memoized (and, on the second call,
-        // from a memo hit), and must match a probe built and folded for
-        // it directly, bit for bit.
+        // Four shards in one state at four throttles, and a fifth in a
+        // state of its own. Every shard in the shared state folds the
+        // terms one probe produced (and, on the second call, a memo hit)
+        // with its own derate, and must match a probe built and folded
+        // for it directly, bit for bit.
         let p = Platform::orange_pi_5();
         let o = AnalyticalOracle::new(&p);
-        let spec = FleetSpec::homogeneous(&p, &o, 2);
-        let mut fleet = FleetExecutor::new(&spec, sequential());
-        for shard in &mut fleet.shards {
-            shard.apply(0.0, &[DynamicEvent::arrive(0.0, ModelId::ResNet50)]);
+        let spec = FleetSpec::homogeneous(&p, &o, 5);
+        let config = FleetConfig { telemetry: TelemetrySpec::on(), ..sequential() };
+        let mut fleet = FleetExecutor::new(&spec, config);
+        for (s, shard) in fleet.shards.iter_mut().enumerate() {
+            let model = if s == 4 { ModelId::MobileNetV2 } else { ModelId::ResNet50 };
+            shard.apply(0.0, &[DynamicEvent::arrive(0.0, model)]);
         }
-        fleet.shards[1].set_throttle(1.0, 0.6);
-        assert_eq!(fleet.shards[0].state_key(), fleet.shards[1].state_key());
-        let fresh = fleet.reference_probe_scores(ModelId::AlexNet, None);
-        assert_ne!(fresh[0], fresh[1], "the throttle must move the score");
-        let first = fleet.probe_scores(ModelId::AlexNet);
+        for (s, throttle) in [(1, 0.6), (2, 0.8), (3, 0.9)] {
+            fleet.shards[s].set_throttle(1.0, throttle);
+        }
+        let shared = fleet.shards[0].state_key();
+        assert!((1..4).all(|s| fleet.shards[s].state_key() == shared));
+        assert_ne!(fleet.shards[4].state_key(), shared);
+        let counter = |fleet: &FleetExecutor<'_, _>, key| {
+            let snapshot = fleet.telemetry.snapshot(&fleet.score_memo, &fleet.shards, None, None);
+            snapshot.expect("telemetry is on").registry.counter(key)
+        };
+
+        // The unique state's shard is excluded: its state costs no memo
+        // lookup, and the shared state builds exactly one probe.
+        let fresh = fleet.reference_probe_scores(ModelId::AlexNet, Some(4));
+        for a in 0..4 {
+            for b in a + 1..4 {
+                assert_ne!(fresh[a], fresh[b], "the throttle must move the score");
+            }
+        }
+        let first = fleet.probe_scores_excluding(ModelId::AlexNet, Some(4));
         assert_eq!(fleet.score_memo.stats(), MemoStats { hits: 0, misses: 1 });
-        let second = fleet.probe_scores(ModelId::AlexNet);
-        assert_eq!(fleet.score_memo.stats(), MemoStats { hits: 1, misses: 1 });
+        assert_eq!(counter(&fleet, "fleet_probes_built_total"), 1);
+        assert_eq!(counter(&fleet, "fleet_index_broadcast_total"), 3);
+        assert_eq!(first[4], None);
         assert_eq!(bits(&first), bits(&fresh));
+
+        // A shared-state shard is excluded: the next shard in that state
+        // answers from the memo; only the unique state is a new question.
+        let fresh = fleet.reference_probe_scores(ModelId::AlexNet, Some(0));
+        let second = fleet.probe_scores_excluding(ModelId::AlexNet, Some(0));
+        assert_eq!(fleet.score_memo.stats(), MemoStats { hits: 1, misses: 2 });
+        assert_eq!(counter(&fleet, "fleet_probes_built_total"), 2);
+        assert_eq!(counter(&fleet, "fleet_index_broadcast_total"), 5);
+        assert_eq!(second[0], None);
         assert_eq!(bits(&second), bits(&fresh));
     }
 

@@ -20,8 +20,8 @@
 //! (see [`DecisionProblem::transposition_key`]) makes revisited terminal
 //! states free. With `K = 1` the batched machinery reduces exactly to the
 //! classic sequential loop — same RNG stream, same trajectory, same
-//! result — which [`Mcts::search_sequential`] preserves as an executable
-//! reference.
+//! result — and this crate's tests hold it to that loop, kept there as an
+//! executable reference.
 //!
 //! # Warm-started search
 //!
@@ -250,61 +250,6 @@ impl Mcts {
         warm: &WarmStart,
     ) -> SearchResult<P::State> {
         self.search_batched(problem, Some(warm))
-    }
-
-    /// The classic one-rollout-per-iteration loop, kept verbatim as the
-    /// executable reference: `search` with `batch == 1` must reproduce its
-    /// trajectory exactly (checked in tests), and benchmarks use it as the
-    /// sequential baseline.
-    pub fn search_sequential<P: DecisionProblem>(&self, problem: &P) -> SearchResult<P::State> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let root_state = problem.root();
-        let root_actions = problem.action_count(&root_state);
-        let mut nodes: Vec<Node<P::State>> = vec![Node {
-            state: root_state.clone(),
-            parent: None,
-            children: Vec::new(),
-            next_action: 0,
-            action_count: root_actions,
-            depth: 0,
-            visits: 0.0,
-            value: 0.0,
-        }];
-        let mut best_state = None;
-        let mut best_reward = f64::NEG_INFINITY;
-        let mut reward_min = f64::INFINITY;
-        let mut reward_max = f64::NEG_INFINITY;
-        let mut evaluations = 0;
-
-        for _ in 0..self.config.iterations {
-            let leaf = select_and_expand(problem, &mut nodes, self.config.exploration);
-            // Simulation: random completion from the leaf.
-            let mut sim = nodes[leaf].state.clone();
-            loop {
-                let k = problem.action_count(&sim);
-                if k == 0 {
-                    break;
-                }
-                let a = rng.gen_range(0..k);
-                sim = problem.apply(&sim, a);
-            }
-            let raw = problem.evaluate(&sim);
-            evaluations += 1;
-            if raw > best_reward {
-                best_reward = raw;
-                best_state = Some(sim);
-            }
-            let norm = normalize_reward(raw, &mut reward_min, &mut reward_max);
-            backpropagate(&mut nodes, leaf, norm, 1.0);
-        }
-
-        SearchResult {
-            best_state: best_state.unwrap_or(root_state),
-            best_reward,
-            evaluations,
-            oracle_evals: evaluations,
-            cache_hits: 0,
-        }
     }
 
     /// Batched virtual-loss search: collect up to `K` rollouts per round,
@@ -585,6 +530,62 @@ fn revert_virtual_loss<S>(nodes: &mut [Node<S>], leaf: usize, vl: f64) {
 mod tests {
     use super::*;
     use std::cell::Cell;
+
+    impl Mcts {
+        /// The classic one-rollout-per-iteration loop, kept verbatim as the
+        /// executable reference: `search` with `batch == 1` must reproduce its
+        /// trajectory exactly.
+        fn search_sequential<P: DecisionProblem>(&self, problem: &P) -> SearchResult<P::State> {
+            let mut rng = StdRng::seed_from_u64(self.config.seed);
+            let root_state = problem.root();
+            let root_actions = problem.action_count(&root_state);
+            let mut nodes: Vec<Node<P::State>> = vec![Node {
+                state: root_state.clone(),
+                parent: None,
+                children: Vec::new(),
+                next_action: 0,
+                action_count: root_actions,
+                depth: 0,
+                visits: 0.0,
+                value: 0.0,
+            }];
+            let mut best_state = None;
+            let mut best_reward = f64::NEG_INFINITY;
+            let mut reward_min = f64::INFINITY;
+            let mut reward_max = f64::NEG_INFINITY;
+            let mut evaluations = 0;
+
+            for _ in 0..self.config.iterations {
+                let leaf = select_and_expand(problem, &mut nodes, self.config.exploration);
+                // Simulation: random completion from the leaf.
+                let mut sim = nodes[leaf].state.clone();
+                loop {
+                    let k = problem.action_count(&sim);
+                    if k == 0 {
+                        break;
+                    }
+                    let a = rng.gen_range(0..k);
+                    sim = problem.apply(&sim, a);
+                }
+                let raw = problem.evaluate(&sim);
+                evaluations += 1;
+                if raw > best_reward {
+                    best_reward = raw;
+                    best_state = Some(sim);
+                }
+                let norm = normalize_reward(raw, &mut reward_min, &mut reward_max);
+                backpropagate(&mut nodes, leaf, norm, 1.0);
+            }
+
+            SearchResult {
+                best_state: best_state.unwrap_or(root_state),
+                best_reward,
+                evaluations,
+                oracle_evals: evaluations,
+                cache_hits: 0,
+            }
+        }
+    }
 
     #[test]
     fn search_machinery_is_send() {
