@@ -12,7 +12,10 @@
 //! `AnalyticalOracle` (the contention solver the fleet scores with). An
 //! `oracle/analytical_fresh_mixes` arm scores a batch of mappings of a mix
 //! the oracle has never seen on every call, so the cost of pricing new
-//! models shows next to the solves.
+//! models shows next to the solves. An `oracle/analytical_rollouts` arm
+//! scores rollout-shaped mappings (unit-random, 4–5 DNNs, Jetson preset:
+//! the shape `hetero_cold`'s searches score) with warm price tables, so it
+//! times the contention kernel itself, compile plus fixed point.
 //!
 //! Results land in `BENCH_oracle.json` at the workspace root (ns per call;
 //! divide by the 1,500-evaluation budget for ns/eval) so future PRs have a
@@ -37,6 +40,10 @@ const BUDGET: usize = 1_500;
 const IDEAL: f64 = 25.0;
 /// Mappings scored per fresh mix in the `analytical_fresh_mixes` arm.
 const FRESH_MIX_MAPPINGS: usize = 8;
+/// Mixes, and mappings per mix (one search batch), scored per call of the
+/// `analytical_rollouts` arm: 128 evaluations per call.
+const ROLLOUT_MIXES: usize = 16;
+const ROLLOUT_BATCH: usize = 8;
 
 fn smoke() -> bool {
     std::env::var_os("RANKMAP_BENCH_SMOKE").is_some()
@@ -218,6 +225,31 @@ fn bench_oracle_hotpath(c: &mut Criterion) {
                 .map(|_| Mapping::random(&w, s.platform.component_count(), &mut rng))
                 .collect();
             fresh.predict_batch(&w, &mappings)
+        })
+    });
+    // Rollout-shaped scoring: fixed 4–5-DNN mixes on the Jetson preset,
+    // each with one batch of unit-random mappings, priced before timing.
+    let jetson = Platform::jetson_orin_nx();
+    let rollouts = AnalyticalOracle::new(&jetson);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(23);
+    let batches: Vec<(Workload, Vec<Mapping>)> = (0..ROLLOUT_MIXES)
+        .map(|_| {
+            let dnns = rand::Rng::gen_range(&mut rng, 4..=5usize);
+            let w = Workload::from_ids(
+                (0..dnns).map(|_| all[rand::Rng::gen_range(&mut rng, 0..all.len())]),
+            );
+            let mappings = (0..ROLLOUT_BATCH)
+                .map(|_| Mapping::random(&w, jetson.component_count(), &mut rng))
+                .collect();
+            (w, mappings)
+        })
+        .collect();
+    for (w, mappings) in &batches {
+        rollouts.predict_batch(w, mappings);
+    }
+    group.bench_function("analytical_rollouts", |b| {
+        b.iter(|| {
+            batches.iter().map(|(w, ms)| rollouts.predict_batch(w, ms).len()).sum::<usize>()
         })
     });
     group.finish();

@@ -88,8 +88,8 @@ impl<'p> AnalyticalEngine<'p> {
     /// Compiles the mapping straight into this thread's flat stage table
     /// (grouped by component, each row carrying its DNN, inflated time and
     /// clamped sharing weight), then solves it. The fixed-point iterations
-    /// only recompute demands and run the weighted max–min allocation in
-    /// place.
+    /// only recompute demands and, where a component is over capacity, run
+    /// the weighted max–min allocation in place.
     fn compile_and_solve(
         &self,
         prices: &impl StagePrices,
@@ -102,7 +102,11 @@ impl<'p> AnalyticalEngine<'p> {
         })
     }
 
-    /// The fixed point of a compiled table.
+    /// The fixed point of a compiled table. Each iteration makes one pass
+    /// per component group, computing every row's demand `x[d]·t` and the
+    /// group's running sum in row order. A group within capacity caps each
+    /// DNN at `demand / t` straight from those demands; only an
+    /// over-capacity group runs the water-filling.
     fn solve(&self, table: &StageTable, scratch: &mut Scratch) -> ThroughputReport {
         let Scratch { demands, alloc, unsat, limit } = scratch;
         let n = table.bounds.len();
@@ -117,21 +121,24 @@ impl<'p> AnalyticalEngine<'p> {
             limit.fill(f64::INFINITY);
             for group in table.groups.windows(2) {
                 let range = group[0]..group[1];
-                for i in range.clone() {
-                    demands[i] = x[table.dnn[i]] * table.seconds[i];
+                let dnn = &table.dnn[range.clone()];
+                let seconds = &table.seconds[range.clone()];
+                let demand = &mut demands[range.clone()];
+                let mut sum = 0.0;
+                for ((out, &d), &t) in demand.iter_mut().zip(dnn).zip(seconds) {
+                    *out = x[d] * t;
+                    sum += *out;
                 }
-                fair_share_in_place(
-                    &demands[range.clone()],
-                    &table.weight[range.clone()],
-                    1.0,
-                    &mut alloc[range.clone()],
-                    unsat,
-                );
-                for i in range {
-                    let t = table.seconds[i];
+                let granted: &[f64] = if sum <= 1.0 {
+                    demand
+                } else {
+                    let alloc = &mut alloc[range.clone()];
+                    water_fill(demand, &table.weight[range], 1.0, alloc, unsat);
+                    alloc
+                };
+                for ((&a, &d), &t) in granted.iter().zip(dnn).zip(seconds) {
                     if t > 0.0 {
-                        let d = table.dnn[i];
-                        limit[d] = limit[d].min(alloc[i] / t);
+                        limit[d] = limit[d].min(a / t);
                     }
                 }
             }
@@ -160,38 +167,41 @@ impl<'p> AnalyticalEngine<'p> {
 /// clamped to at least `1e-12`.
 pub fn weighted_max_min_fair(demands: &[f64], weights: &[f64], capacity: f64) -> Vec<f64> {
     assert_eq!(demands.len(), weights.len(), "demands/weights length mismatch");
+    let total: f64 = demands.iter().sum();
+    if total <= capacity {
+        return demands.to_vec();
+    }
     let clamped: Vec<f64> = weights.iter().map(|w| w.max(1e-12)).collect();
     let mut alloc = vec![0.0; demands.len()];
-    fair_share_in_place(demands, &clamped, capacity, &mut alloc, &mut Vec::new());
+    water_fill(demands, &clamped, capacity, &mut alloc, &mut Vec::new());
     alloc
 }
 
-/// [`weighted_max_min_fair`] over pre-clamped `weights`, writing every
-/// entry of `alloc` and using `unsat` as scratch for the indices still
-/// unsatisfied. Each round sums the unsatisfied weights in index order,
-/// then satisfies (and subtracts from the remaining capacity, in index
-/// order) every demand at or below its share of the fair level.
-fn fair_share_in_place(
+/// The over-capacity half of [`weighted_max_min_fair`], over pre-clamped
+/// `weights`: writes every entry of `alloc`, using `unsat` as scratch for
+/// the indices still unsatisfied. Each round satisfies every demand at or
+/// below its share of the fair level, subtracting it from the remaining
+/// capacity in index order, and sums the weights of the rest, in index
+/// order, for the next round's level.
+fn water_fill(
     demands: &[f64],
     weights: &[f64],
     capacity: f64,
     alloc: &mut [f64],
     unsat: &mut Vec<usize>,
 ) {
-    let total: f64 = demands.iter().sum();
-    if total <= capacity {
-        alloc.copy_from_slice(demands);
-        return;
-    }
     let mut remaining = capacity;
+    let mut weight_sum: f64 = weights.iter().sum();
     unsat.clear();
     unsat.extend(0..demands.len());
     loop {
-        let weight_sum: f64 = unsat.iter().map(|&i| weights[i]).sum();
         // Fair level λ such that each unsatisfied i would get λ·w_i.
         let level = remaining / weight_sum;
         let before = unsat.len();
         let mut kept = 0;
+        // Weights are positive, so starting from +0.0 sums exactly as
+        // `Sum` does.
+        let mut kept_weight = 0.0;
         for j in 0..before {
             let i = unsat[j];
             if demands[i] <= level * weights[i] {
@@ -200,6 +210,7 @@ fn fair_share_in_place(
             } else {
                 unsat[kept] = i;
                 kept += 1;
+                kept_weight += weights[i];
             }
         }
         if kept == before {
@@ -212,13 +223,14 @@ fn fair_share_in_place(
         if unsat.is_empty() {
             return;
         }
+        weight_sum = kept_weight;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contention::CompiledWorkload;
+    use crate::contention::{CompiledWorkload, StageTable};
     use rankmap_models::ModelId;
     use rankmap_platform::ComponentId;
 
@@ -260,6 +272,24 @@ mod tests {
         assert_eq!(a[1], 0.3);
         assert!((a[2] - 0.325).abs() < 1e-12);
         assert!((a[3] - 0.325).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_test_sums_demands_in_row_order() {
+        // One component, three rows with `t = 1`, so each demand is its
+        // DNN's rate. Summed in row order the demands come to one ulp over
+        // 1.0 (summed in reverse, to exactly 1.0), so the group is over
+        // capacity and water-filling caps the last DNN one ulp below its
+        // bound.
+        let mut table = StageTable::default();
+        table.groups = vec![0, 3];
+        table.dnn = vec![0, 1, 2];
+        table.seconds = vec![1.0; 3];
+        table.weight = vec![1.0; 3];
+        table.bounds = vec![0.02, 0.1, 0.8800000000000001];
+        let p = Platform::orange_pi_5();
+        let r = AnalyticalEngine::new(&p).solve(&table, &mut Scratch::default());
+        assert_eq!(r.per_dnn, vec![0.02, 0.1, 0.88]);
     }
 
     #[test]

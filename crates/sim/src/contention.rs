@@ -433,28 +433,38 @@ pub(crate) struct StageTable {
     /// Per DNN, the isolated pipeline rate bound
     /// ([`CompiledWorkload::pipeline_bound`]).
     pub(crate) bounds: Vec<f64>,
-    base: Vec<f64>,
-    working_set: Vec<f64>,
-    transfer: Vec<f64>,
-    kernels: Vec<usize>,
-    /// The stages in pipeline order, each with its row.
+    /// The stages in pipeline order, priced.
     runs: Vec<Run>,
-    /// Next free row per component while pricing.
-    cursor: Vec<usize>,
+    /// Per component, what inflating its stages reads.
+    slots: Vec<Slot>,
     /// Per `(dnn, component)`, softened working set (`d * n + c`).
     footprint: Vec<f64>,
-    /// Per component, the summed footprints.
-    pressure: Vec<f64>,
 }
 
-/// One stage in pipeline order: a maximal same-component run of units.
+/// One stage in pipeline order: a maximal same-component run of units,
+/// with its isolated prices and, once scattered, its row.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     dnn: usize,
     component: usize,
-    start: usize,
-    end: usize,
+    base: f64,
+    working_set: f64,
+    transfer: f64,
+    kernels: usize,
     row: usize,
+}
+
+/// One component's share of a compile.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    cache: f64,
+    preemptive: bool,
+    /// Stages on the component besides any one of them.
+    co: f64,
+    /// Summed footprints of every DNN on the component.
+    pressure: f64,
+    /// Next free row of the component's group while scattering.
+    next_row: usize,
 }
 
 impl StageTable {
@@ -479,6 +489,11 @@ impl StageTable {
     /// bad — the phenomenon that lets greedy managers starve
     /// Inception-class models on the real board.
     ///
+    /// One walk over the assignment validates it, finds each DNN's runs,
+    /// prices them and sums each DNN's working set per component, in
+    /// pipeline order; one scatter then inflates each run into its
+    /// component's next row.
+    ///
     /// # Panics
     ///
     /// Panics if the mapping does not validate against the workload and
@@ -491,97 +506,92 @@ impl StageTable {
         params: ContentionParams,
     ) {
         let n = prices.component_count();
-        mapping
-            .validate(workload, n)
-            .expect("mapping must be valid for this workload/platform");
         let d_count = workload.len();
-        // Walk each DNN's maximal same-component runs (the stages
-        // `Mapping::stages` would list), counting stages per component.
+        let per_dnn = mapping.per_dnn();
+        if per_dnn.len() != d_count {
+            invalid(workload, mapping, n);
+        }
         self.runs.clear();
         self.groups.clear();
         self.groups.resize(n + 1, 0);
-        for d in 0..d_count {
-            let assign = mapping.assignment(d);
+        self.footprint.clear();
+        self.footprint.resize(d_count * n, 0.0);
+        for (d, (assign, model)) in per_dnn.iter().zip(workload.models()).enumerate() {
+            if assign.len() != model.unit_count() {
+                invalid(workload, mapping, n);
+            }
             let mut start = 0;
-            for end in 1..=assign.len() {
-                if end < assign.len() && assign[end] == assign[start] {
-                    continue;
+            while let Some(&c) = assign.get(start) {
+                // A run's units share its first unit's component, so
+                // checking that one validates the run.
+                let component = c.index();
+                if component >= n {
+                    invalid(workload, mapping, n);
                 }
-                let component = assign[start].index();
-                self.runs.push(Run { dnn: d, component, start, end, row: 0 });
+                let end = start + 1 + assign[start + 1..].iter().take_while(|&&a| a == c).count();
+                let (base, working_set, kernels) = prices.stage(d, c, start..end);
+                let transfer = if end < assign.len() { prices.transfer(d, end - 1) } else { 0.0 };
+                self.footprint[d * n + component] += working_set;
                 self.groups[component + 1] += 1;
+                self.runs.push(Run {
+                    dnn: d,
+                    component,
+                    base,
+                    working_set,
+                    transfer,
+                    kernels,
+                    row: 0,
+                });
                 start = end;
             }
         }
         for c in 0..n {
             self.groups[c + 1] += self.groups[c];
         }
+        let soft = |ws: f64, cache: f64| ws / (ws + cache);
+        self.slots.clear();
+        self.slots.extend((0..n).map(|c| Slot {
+            cache: prices.cache_bytes(c),
+            preemptive: prices.preemptive(c),
+            co: (self.groups[c + 1] - self.groups[c]).saturating_sub(1) as f64,
+            pressure: 0.0,
+            next_row: self.groups[c],
+        }));
+        for row in self.footprint.chunks_exact_mut(n.max(1)) {
+            for (fp, slot) in row.iter_mut().zip(&self.slots) {
+                *fp = soft(*fp, slot.cache);
+            }
+        }
+        for (p, slot) in self.slots.iter_mut().enumerate() {
+            slot.pressure = (0..d_count).map(|d| self.footprint[d * n + p]).sum::<f64>();
+        }
         let rows = self.groups[n];
         self.dnn.resize(rows, 0);
         self.seconds.resize(rows, 0.0);
         self.weight.resize(rows, 0.0);
-        self.base.resize(rows, 0.0);
-        self.working_set.resize(rows, 0.0);
-        self.transfer.resize(rows, 0.0);
-        self.kernels.resize(rows, 0);
-        // Price each stage into its component's next row, summing each
-        // DNN's working set per component in pipeline order.
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.groups[..n]);
-        self.footprint.clear();
-        self.footprint.resize(d_count * n, 0.0);
-        for run in &mut self.runs {
-            let i = self.cursor[run.component];
-            self.cursor[run.component] += 1;
-            run.row = i;
-            let (base, ws, kernels) =
-                prices.stage(run.dnn, ComponentId::new(run.component), run.start..run.end);
-            self.transfer[i] = if run.end < mapping.assignment(run.dnn).len() {
-                prices.transfer(run.dnn, run.end - 1)
-            } else {
-                0.0
-            };
-            self.dnn[i] = run.dnn;
-            self.base[i] = base;
-            self.working_set[i] = ws;
-            self.kernels[i] = kernels;
-            self.footprint[run.dnn * n + run.component] += ws;
-        }
-        let soft = |ws: f64, cache: f64| ws / (ws + cache);
-        for row in self.footprint.chunks_exact_mut(n.max(1)) {
-            for (p, fp) in row.iter_mut().enumerate() {
-                *fp = soft(*fp, prices.cache_bytes(p));
-            }
-        }
-        self.pressure.clear();
-        self.pressure
-            .extend((0..n).map(|p| (0..d_count).map(|d| self.footprint[d * n + p]).sum::<f64>()));
-        // Inflate every row; `bounds` holds each DNN's bottleneck until
-        // the end.
+        // Inflate each run into its component's next row; `bounds` holds
+        // each DNN's bottleneck until the end.
         self.bounds.clear();
         self.bounds.resize(d_count, 0.0);
-        for c in 0..n {
-            let group = self.groups[c]..self.groups[c + 1];
-            let co = group.len().saturating_sub(1) as f64;
-            let (cache, preemptive) = (prices.cache_bytes(c), prices.preemptive(c));
-            for i in group {
-                let d = self.dnn[i];
-                let sens = soft(self.working_set[i], cache);
-                let others = (self.pressure[c] - self.footprint[d * n + c]).max(0.0);
-                // A stage without co-runner pressure skips `powf`:
-                // exactly, as 1^κ = 1.
-                let thrash = 1.0 + params.theta * sens * others;
-                let thrash = if thrash == 1.0 { 1.0 } else { thrash.powf(params.kappa) };
-                let seconds = self.base[i] * (thrash + params.alpha * co);
-                self.seconds[i] = seconds;
-                let weight = if preemptive {
-                    1.0
-                } else {
-                    seconds / self.kernels[i].max(1) as f64 * 1e3
-                };
-                self.weight[i] = weight.max(1e-12);
-                self.bounds[d] = self.bounds[d].max(seconds).max(self.transfer[i]);
-            }
+        for run in &mut self.runs {
+            let (c, d) = (run.component, run.dnn);
+            let slot = &mut self.slots[c];
+            let i = slot.next_row;
+            slot.next_row += 1;
+            run.row = i;
+            let sens = soft(run.working_set, slot.cache);
+            let others = (slot.pressure - self.footprint[d * n + c]).max(0.0);
+            // A stage without co-runner pressure skips `powf`: exactly, as
+            // 1^κ = 1.
+            let thrash = 1.0 + params.theta * sens * others;
+            let thrash = if thrash == 1.0 { 1.0 } else { thrash.powf(params.kappa) };
+            let seconds = run.base * (thrash + params.alpha * slot.co);
+            let weight =
+                if slot.preemptive { 1.0 } else { seconds / run.kernels.max(1) as f64 * 1e3 };
+            self.dnn[i] = d;
+            self.seconds[i] = seconds;
+            self.weight[i] = weight.max(1e-12);
+            self.bounds[d] = self.bounds[d].max(seconds).max(run.transfer);
         }
         for bound in &mut self.bounds {
             *bound = if *bound <= 0.0 { 0.0 } else { 1.0 / *bound };
@@ -613,19 +623,28 @@ impl StageTable {
     fn to_compiled(&self, prices: &impl StagePrices) -> CompiledWorkload {
         let mut stages: Vec<Vec<CompiledStage>> = vec![Vec::new(); self.bounds.len()];
         for run in &self.runs {
-            let i = run.row;
             stages[run.dnn].push(CompiledStage {
                 component: ComponentId::new(run.component),
-                base_seconds: self.base[i],
-                inflated_seconds: self.seconds[i],
-                working_set: self.working_set[i],
-                transfer_out_seconds: self.transfer[i],
-                kernel_count: self.kernels[i],
+                base_seconds: run.base,
+                inflated_seconds: self.seconds[run.row],
+                working_set: run.working_set,
+                transfer_out_seconds: run.transfer,
+                kernel_count: run.kernels,
                 preemptive: prices.preemptive(run.component),
             });
         }
         CompiledWorkload { stages, component_count: prices.component_count() }
     }
+}
+
+/// Panics with the first fault [`Mapping::validate`] finds: the compile
+/// walk found one.
+#[cold]
+fn invalid(workload: &Workload, mapping: &Mapping, component_count: usize) -> ! {
+    let fault = mapping
+        .validate(workload, component_count)
+        .expect_err("the compile walk rejects only invalid mappings");
+    panic!("mapping must be valid for this workload/platform: {fault:?}")
 }
 
 #[cfg(test)]
